@@ -11,6 +11,7 @@ containing it, e.g. ``ALCHI`` or ``SHIU`` (Section 3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from ..core.schema import RelationSymbol, Schema
@@ -243,25 +244,34 @@ class Ontology:
 
     # -- role hierarchy reasoning -------------------------------------------------------------
 
+    @cached_property
+    def _super_role_closure(self) -> dict[Role, frozenset[Role]]:
+        """The reflexive-transitive role hierarchy, computed once per ontology
+        (``axioms`` is fixed at construction) for every role it mentions."""
+        above: dict[Role, set[Role]] = {}
+        for axiom in self.role_inclusions():
+            above.setdefault(axiom.sub, set()).add(axiom.sup)
+            if not axiom.sub.is_universal() and not axiom.sup.is_universal():
+                above.setdefault(axiom.sub.inverted(), set()).add(axiom.sup.inverted())
+        closure: dict[Role, frozenset[Role]] = {}
+        for start in above:
+            reached = {start}
+            frontier = [start]
+            while frontier:
+                for sup in above.get(frontier.pop(), ()):
+                    if sup not in reached:
+                        reached.add(sup)
+                        frontier.append(sup)
+            closure[start] = frozenset(reached)
+        return closure
+
     def super_roles(self, role_: Role) -> frozenset[Role]:
         """The reflexive-transitive closure of the role hierarchy above ``role_``.
 
         Inverse closure is respected: ``R ⊑ S`` implies ``R⁻ ⊑ S⁻``.
         """
-        inclusions = set()
-        for axiom in self.role_inclusions():
-            inclusions.add((axiom.sub, axiom.sup))
-            if not axiom.sub.is_universal() and not axiom.sup.is_universal():
-                inclusions.add((axiom.sub.inverted(), axiom.sup.inverted()))
-        closure = {role_}
-        changed = True
-        while changed:
-            changed = False
-            for sub, sup in inclusions:
-                if sub in closure and sup not in closure:
-                    closure.add(sup)
-                    changed = True
-        return frozenset(closure)
+        closed = self._super_role_closure.get(role_)
+        return closed if closed is not None else frozenset({role_})
 
     def sub_roles(self, role_: Role) -> frozenset[Role]:
         """All roles whose super-role closure contains ``role_``."""

@@ -78,6 +78,14 @@ def negation_closure(concepts: Iterable[Concept]) -> frozenset[Concept]:
     return frozenset(result)
 
 
+def iter_bits(bitset: int) -> Iterator[int]:
+    """The positions of the set bits of ``bitset``, lowest first."""
+    while bitset:
+        low = bitset & -bitset
+        yield low.bit_length() - 1
+        bitset ^= low
+
+
 class TypeSystem:
     """Types over the closure of an ontology (plus extra tracked concepts).
 
@@ -86,6 +94,15 @@ class TypeSystem:
     names and existential restrictions.  Universal restrictions are derived via
     their existential duals, which keeps types semantically coherent by
     construction (``∀R.C`` is true exactly when ``∃R.¬C`` is false).
+
+    Internally the system is a bitset kernel.  The closure is indexed in
+    ``str`` order (``closure_order``), so a type is also an int *mask* whose
+    bit ``i`` says whether ``closure_order[i]`` is true, and the enumerated
+    types are indexed in :meth:`all_types` order.  Per role ``R`` the kernel
+    keeps one *compatibility row* per type: an int bitset over type indices
+    of the types that may label an ``R``-successor (:meth:`successors`).
+    :meth:`compatible` is a lookup in that table; the forest engine, type
+    elimination and the Theorem 3.3 / 4.6 constructions read it directly.
     """
 
     def __init__(self, ontology: Ontology, extra_concepts: Iterable[Concept] = ()):
@@ -103,17 +120,37 @@ class TypeSystem:
         self._axioms = [
             (ci.lhs.nnf(), ci.rhs.nnf()) for ci in ontology.concept_inclusions()
         ]
-        self.concept_name_decisions = sorted(
-            {c for c in self.closure if isinstance(c, ConceptName)},
-            key=str,
+        # ``repr`` breaks ``str`` ties, so the order never follows the hash seed.
+        self.closure_order: tuple[Concept, ...] = tuple(
+            sorted(self.closure, key=lambda c: (str(c), repr(c)))
         )
-        self.existential_decisions = sorted(
-            {c for c in self.closure if isinstance(c, Exists)},
-            key=str,
-        )
+        self._bit = {c: 1 << i for i, c in enumerate(self.closure_order)}
+        self.concept_name_decisions = [
+            c for c in self.closure_order if isinstance(c, ConceptName)
+        ]
+        self.existential_decisions = [
+            c for c in self.closure_order if isinstance(c, Exists)
+        ]
         self.u_existentials = [
             c for c in self.existential_decisions if c.role.is_universal()
         ]
+        # (role, restriction bit, filler bit) per ∀ / ∃ in the closure.
+        self._foralls = [
+            (c.role, self._bit[c], self._bit[c.filler.nnf()])
+            for c in self.closure_order
+            if isinstance(c, Forall)
+        ]
+        self._exists = [
+            (c.role, self._bit[c], self._bit[c.filler.nnf()])
+            for c in self.existential_decisions
+        ]
+        self._types: list[Type] | None = None
+        self._type_index: dict[Type, int] = {}
+        self._type_masks: list[int] = []
+        self._holders: dict[int, int] = {}
+        self._rows: dict[Role, list[int]] = {}
+        self._columns: dict[Role, list[int]] = {}
+        self._demands: list[list[tuple[Exists, int]]] | None = None
 
     # -- truth derivation ------------------------------------------------------------
 
@@ -154,10 +191,13 @@ class TypeSystem:
         return members
 
     def all_types(self) -> list[Type]:
-        """All locally consistent types (axioms respected)."""
-        decisions = list(self.concept_name_decisions) + list(
-            self.existential_decisions
-        )
+        """All locally consistent types (axioms respected), in index order.
+
+        The enumeration runs once per system; later calls return a copy.
+        """
+        if self._types is not None:
+            return list(self._types)
+        decisions = self.concept_name_decisions + self.existential_decisions
         if len(decisions) > 18:
             raise UnsupportedOntologyError(
                 f"closure too large for exhaustive type enumeration "
@@ -171,12 +211,124 @@ class TypeSystem:
             candidate = self.type_from_decisions(true_decisions)
             if candidate is not None:
                 types.append(candidate)
-        return types
+        self._type_masks = [self.mask(t) for t in types]
+        self._type_index = {t: i for i, t in enumerate(types)}
+        self._types = types
+        self._holders = {bit: 0 for bit in self._bit.values()}
+        for index, type_mask in enumerate(self._type_masks):
+            for position in iter_bits(type_mask):
+                self._holders[1 << position] |= 1 << index
+        return list(types)
+
+    # -- the bitset kernel ------------------------------------------------------------
+
+    def mask(self, type_: Type) -> int:
+        """The closure bitset of a type (concepts outside the closure ignored)."""
+        index = self._type_index.get(type_)
+        if index is not None:
+            return self._type_masks[index]
+        bit = self._bit
+        return sum(bit[c] for c in type_ if c in bit)
+
+    def type_index(self, type_: Type) -> int:
+        """The position of ``type_`` in :meth:`all_types` (enumerating if needed)."""
+        if self._types is None:
+            self.all_types()
+        return self._type_index[type_]
+
+    def _successor_constraint(self, source_mask: int, base_role: Role) -> tuple[int, int]:
+        """The closure bits an ``R``-successor of the source must carry (from
+        ``∀S.C`` along super-roles ``S`` of ``R`` and ``U``) and must not carry
+        (fillers of false ``∃S.C``); ``R`` is ``base_role``."""
+        supers = self.ontology.super_roles(base_role)
+        need = ban = 0
+        for role_, bit, filler in self._foralls:
+            if source_mask & bit and (role_ in supers or role_.is_universal()):
+                need |= filler
+        for role_, bit, filler in self._exists:
+            if not source_mask & bit and role_ in supers:
+                ban |= filler
+        return need, ban
+
+    def successors(self, base_role: Role) -> list[int]:
+        """The compatibility table of ``base_role``: row ``i`` is the bitset of
+        type indices that may label an ``R``-successor of type ``i``."""
+        rows = self._rows.get(base_role)
+        if rows is not None:
+            return rows
+        if self._types is None:
+            self.all_types()
+        holders = self._holders
+        every = (1 << len(self._type_masks)) - 1
+        by_constraint: dict[tuple[int, int], int] = {}
+        rows = []
+        for source_mask in self._type_masks:
+            constraint = self._successor_constraint(source_mask, base_role)
+            row = by_constraint.get(constraint)
+            if row is None:
+                need, ban = constraint
+                row = every
+                for position in iter_bits(need):
+                    row &= holders[1 << position]
+                for position in iter_bits(ban):
+                    row &= ~holders[1 << position]
+                by_constraint[constraint] = row
+            rows.append(row)
+        self._rows[base_role] = rows
+        return rows
+
+    def predecessors(self, base_role: Role) -> list[int]:
+        """The transposed table: row ``j`` is the bitset of type indices that
+        may label an ``R``-predecessor of type ``j``."""
+        columns = self._columns.get(base_role)
+        if columns is None:
+            rows = self.successors(base_role)
+            columns = [0] * len(rows)
+            for source, row in enumerate(rows):
+                for target in iter_bits(row):
+                    columns[target] |= 1 << source
+            self._columns[base_role] = columns
+        return columns
+
+    def pairs(
+        self, types: Sequence[Type], base_role: Role, compatible: bool = True
+    ) -> Iterator[tuple[int, int]]:
+        """Positions ``(i, j)`` into ``types``, row-major, such that
+        ``types[j]`` may label an ``R``-successor of ``types[i]`` (with
+        ``compatible=False``: may not); ``R`` is ``base_role``."""
+        positions = [self.type_index(t) for t in types]
+        rows = self.successors(base_role)
+        for i, position in enumerate(positions):
+            row = rows[position]
+            for j, other in enumerate(positions):
+                if bool(row >> other & 1) == compatible:
+                    yield i, j
+
+    def witness_demands(self, index: int) -> list[tuple[Exists, int]]:
+        """The ``∃R.C`` (``R`` not universal) true in type ``index``, each with
+        the bitset of types that may witness it: compatible ``R``-successors
+        containing ``C``."""
+        if self._demands is None:
+            self.all_types()
+            self._demands = []
+            existentials = [
+                c for c in self.existential_decisions if not c.role.is_universal()
+            ]
+            for position, type_mask in enumerate(self._type_masks):
+                self._demands.append(
+                    [
+                        (
+                            c,
+                            self.successors(c.role)[position]
+                            & self._holders[self._bit[c.filler.nnf()]],
+                        )
+                        for c in existentials
+                        if type_mask & self._bit[c]
+                    ]
+                )
+        return self._demands[index]
 
     # -- edge compatibility -------------------------------------------------------------
-
-    def super_roles(self, role: Role) -> frozenset[Role]:
-        return self.ontology.super_roles(role)
 
     def compatible(self, source: Type, target: Type, base_role: Role) -> bool:
         """May ``target`` label an R-successor of ``source`` (R = ``base_role``)?
@@ -185,40 +337,32 @@ class TypeSystem:
         ``base_role`` and must not witness existential restrictions that the
         source type declares false (types are semantically exact).
         """
-        supers = self.super_roles(base_role)
-        for concept in self.closure:
-            if (
-                isinstance(concept, Forall)
-                and concept in source
-                and (concept.role in supers or concept.role.is_universal())
-                and concept.filler.nnf() not in target
-            ):
-                return False
-            if (
-                isinstance(concept, Exists)
-                and concept not in source
-                and concept.role in supers
-                and concept.filler.nnf() in target
-            ):
-                return False
-        return True
+        source_index = self._type_index.get(source)
+        target_index = self._type_index.get(target)
+        if source_index is not None and target_index is not None:
+            return bool(self.successors(base_role)[source_index] >> target_index & 1)
+        need, ban = self._successor_constraint(self.mask(source), base_role)
+        target_mask = self.mask(target)
+        return target_mask & need == need and not target_mask & ban
 
     def u_compatible(self, first: Type, second: Type) -> bool:
         """Types co-existing in one model must agree on universal-role concepts
         and must not realise a concept whose ``∃U`` the other declares false."""
-        for concept in self.u_existentials:
-            if (concept in first) != (concept in second):
+        first_mask, second_mask = self.mask(first), self.mask(second)
+        for role_, bit, filler in self._exists:
+            if not role_.is_universal():
+                continue
+            if (first_mask ^ second_mask) & bit:
                 return False
-            if concept not in first and concept.filler.nnf() in second:
+            if not first_mask & bit and (first_mask | second_mask) & filler:
                 return False
-            if concept not in second and concept.filler.nnf() in first:
+        for role_, bit, filler in self._foralls:
+            if not role_.is_universal():
+                continue
+            if first_mask & bit and not second_mask & filler:
                 return False
-        for concept in self.closure:
-            if isinstance(concept, Forall) and concept.role.is_universal():
-                if concept in first and concept.filler.nnf() not in second:
-                    return False
-                if concept in second and concept.filler.nnf() not in first:
-                    return False
+            if second_mask & bit and not first_mask & filler:
+                return False
         return True
 
     # -- good types (tree realisability) ---------------------------------------------------
@@ -228,35 +372,25 @@ class TypeSystem:
 
         A type survives if each of its existential restrictions (over ordinary
         roles) has a surviving witness type compatible with it.  Universal-role
-        existentials are handled globally by :meth:`globally_coherent_types`.
+        existentials are handled globally by :meth:`globally_coherent_families`.
+        ``types`` must be types of this system (default: :meth:`all_types`).
         """
-        alive = list(types if types is not None else self.all_types())
+        candidates = list(types if types is not None else self.all_types())
+        positions = [self.type_index(t) for t in candidates]
+        alive = 0
+        for position in positions:
+            alive |= 1 << position
         changed = True
         while changed:
             changed = False
-            survivors = []
-            for candidate in alive:
-                if self._has_witnesses(candidate, alive):
-                    survivors.append(candidate)
-                else:
-                    changed = True
-            alive = survivors
-        return alive
-
-    def _has_witnesses(self, candidate: Type, alive: Sequence[Type]) -> bool:
-        for concept in candidate:
-            if not isinstance(concept, Exists) or concept.role.is_universal():
-                continue
-            witness_found = False
-            for witness in alive:
-                if concept.filler.nnf() in witness and self.compatible(
-                    candidate, witness, concept.role
+            for position in iter_bits(alive):
+                if any(
+                    not witnesses & alive
+                    for _existential, witnesses in self.witness_demands(position)
                 ):
-                    witness_found = True
-                    break
-            if not witness_found:
-                return False
-        return True
+                    alive &= ~(1 << position)
+                    changed = True
+        return [t for t, position in zip(candidates, positions) if alive >> position & 1]
 
     def globally_coherent_families(self) -> Iterator[list[Type]]:
         """Families of good types that agree on the universal role.
@@ -269,30 +403,36 @@ class TypeSystem:
         if not self.uses_universal_role():
             yield self.good_types()
             return
-        u_decisions = self.u_existentials
+        types = self.all_types()
+        masks = [self.mask(t) for t in types]
+        u_decisions = [
+            (self._bit[d], self._bit[d.filler.nnf()]) for d in self.u_existentials
+        ]
         for bits in itertools.product((False, True), repeat=len(u_decisions)):
-            valuation = {d: bit for d, bit in zip(u_decisions, bits)}
+            need = ban = 0
+            for (bit, filler), value in zip(u_decisions, bits):
+                if value:
+                    need |= bit
+                else:
+                    ban |= bit | filler
             candidates = [
-                t
-                for t in self.all_types()
-                if all((d in t) == bit for d, bit in valuation.items())
-                and all(
-                    d.filler.nnf() not in t
-                    for d, bit in valuation.items()
-                    if not bit
-                )
+                t for t, m in zip(types, masks) if m & need == need and not m & ban
             ]
             good = self.good_types(candidates)
             # Every ∃U.C asserted true needs a witness type in the family.
+            realised = 0
+            for t in good:
+                realised |= self.mask(t)
             if good and all(
-                (not bit) or any(d.filler.nnf() in t for t in good)
-                for d, bit in valuation.items()
+                realised & filler
+                for (_bit, filler), value in zip(u_decisions, bits)
+                if value
             ):
                 yield good
 
     def uses_universal_role(self) -> bool:
         return bool(self.u_existentials) or any(
-            isinstance(c, Forall) and c.role.is_universal() for c in self.closure
+            role_.is_universal() for role_, _bit, _filler in self._foralls
         )
 
 
@@ -369,20 +509,15 @@ class AboxTypeAssignment:
 
     def _template_for(self, family: Sequence[Type]) -> Instance:
         facts = [Fact(self._ADOM, (t,)) for t in family]
-        concept_names = sorted(
-            {c for c in self.system.closure if isinstance(c, ConceptName)},
-            key=str,
-        )
-        for name in concept_names:
+        for name in self.system.concept_name_decisions:
             symbol = RelationSymbol(name.name, 1)
             facts.extend(Fact(symbol, (t,)) for t in family if name in t)
         for role_name in self._role_names:
             symbol = RelationSymbol(role_name, 2)
-            role = Role(role_name)
-            for source in family:
-                for target in family:
-                    if self.system.compatible(source, target, role):
-                        facts.append(Fact(symbol, (source, target)))
+            facts.extend(
+                Fact(symbol, (family[i], family[j]))
+                for i, j in self.system.pairs(family, Role(role_name))
+            )
         return Instance(facts)
 
     def _data_for(

@@ -24,9 +24,9 @@ from typing import Hashable, Iterator, Sequence
 
 from ..core.cq import ConjunctiveQuery, UnionOfConjunctiveQueries, Variable
 from ..core.instance import Instance
-from ..dl.concepts import ConceptName, Exists, Role
+from ..dl.concepts import ConceptName, Role
 from ..dl.ontology import Ontology
-from ..dl.reasoner import TypeSystem, UnsupportedOntologyError
+from ..dl.reasoner import TypeSystem, UnsupportedOntologyError, iter_bits
 from .query import OntologyMediatedQuery
 
 Element = Hashable
@@ -108,7 +108,6 @@ class _PieceBuilder:
     def __init__(self, disjunct: ConjunctiveQuery, core: frozenset[Variable]):
         self.disjunct = disjunct
         self.core = core
-        self.valid = True
 
     def build(self) -> tuple[list[tuple[Variable, BelowRequirement]], list[AnywhereRequirement]] | None:
         non_core = {
@@ -298,12 +297,7 @@ class _PieceBuilder:
         tree = build_tree(roots[0], frozenset())
         if tree is None:
             return None
-        reachable = set(tree_nodes_count(tree))
         return None, [], [AnywhereRequirement(tree)]
-
-
-def tree_nodes_count(tree: RootedTree) -> list[RootedTree]:
-    return list(tree.subtrees())
 
 
 def enumerate_splits(disjunct: ConjunctiveQuery) -> list[QuerySplit]:
@@ -463,45 +457,40 @@ class ForestAbstraction:
         if self._achievable is not None:
             return self._achievable
         types = self.system.all_types()
-        current: dict[frozenset, list[frozenset]] = {t: [frozenset()] for t in types}
+        # Keyed by type index (the position in ``types``) while iterating.
+        current: dict[int, list[frozenset]] = {
+            index: [frozenset()] for index in range(len(types))
+        }
         changed = True
         while changed:
             changed = False
-            updated: dict[frozenset, list[frozenset]] = {}
-            for node_type in types:
-                sets = self._achievable_for(node_type, current)
-                if _antichain_differs(sets, current.get(node_type, [])):
+            updated: dict[int, list[frozenset]] = {}
+            for index in range(len(types)):
+                sets = self._achievable_for(index, types, current)
+                if _antichain_differs(sets, current.get(index, [])):
                     changed = True
                 if sets:
-                    updated[node_type] = sets
+                    updated[index] = sets
             if set(updated) != set(current):
                 changed = True
             current = updated
-        self._achievable = current
-        return current
+        self._achievable = {types[index]: sets for index, sets in current.items()}
+        return self._achievable
 
     def _achievable_for(
-        self, node_type: frozenset, current: dict[frozenset, list[frozenset]]
+        self, index: int, types: list[frozenset], current: dict[int, list[frozenset]]
     ) -> list[frozenset]:
-        existentials = [
-            c
-            for c in node_type
-            if isinstance(c, Exists) and not c.role.is_universal()
-        ]
-        # Per existential: the distinct minimal contributions of candidate witnesses.
+        node_type = types[index]
+        # Per existential: the distinct minimal contributions of candidate
+        # witnesses, read off the type kernel's compatibility rows.
         per_existential: list[list[frozenset]] = []
-        for existential in existentials:
+        for existential, witnesses in self.system.witness_demands(index):
             contributions: set[frozenset] = set()
-            filler = existential.filler.nnf()
-            for witness_type, witness_sets in current.items():
-                if filler not in witness_type:
-                    continue
-                if not self.system.compatible(node_type, witness_type, existential.role):
-                    continue
-                for witness_reqs in witness_sets:
+            for witness in iter_bits(witnesses):
+                for witness_reqs in current.get(witness, ()):
                     contributions.add(
                         self._child_contribution(
-                            existential.role, witness_type, witness_reqs
+                            existential.role, types[witness], witness_reqs
                         )
                     )
             if not contributions:
@@ -638,63 +627,6 @@ class ForestEngine:
                 labels.append((node_type, requirement_set))
         return labels
 
-    def _labellings(self, instance: Instance) -> Iterator[dict[Element, tuple[frozenset, frozenset]]]:
-        """All forest labellings of the data consistent with ontology and facts."""
-        concept_facts, role_facts, _closed = self._data_views(instance)
-        elements = sorted(instance.active_domain, key=repr)
-        candidates = {
-            element: self._candidate_labels(element, concept_facts)
-            for element in elements
-        }
-        if any(not candidate for candidate in candidates.values()):
-            return
-        edges = [
-            (source, target, Role(name))
-            for (source, target), names in role_facts.items()
-            for name in names
-        ]
-        assignment: dict[Element, tuple[frozenset, frozenset]] = {}
-
-        def consistent(element: Element, label: tuple[frozenset, frozenset]) -> bool:
-            node_type = label[0]
-            for source, target, role in edges:
-                if (
-                    source == element
-                    and target in assignment
-                    and not self.system.compatible(
-                        node_type, assignment[target][0], role
-                    )
-                ):
-                    return False
-                if (
-                    target == element
-                    and source in assignment
-                    and not self.system.compatible(
-                        assignment[source][0], node_type, role
-                    )
-                ):
-                    return False
-                if (
-                    source == element
-                    and target == element
-                    and not self.system.compatible(node_type, node_type, role)
-                ):
-                    return False
-            return True
-
-        def search(index: int) -> Iterator[dict[Element, tuple[frozenset, frozenset]]]:
-            if index == len(elements):
-                yield dict(assignment)
-                return
-            element = elements[index]
-            for label in candidates[element]:
-                if consistent(element, label):
-                    assignment[element] = label
-                    yield from search(index + 1)
-                    del assignment[element]
-
-        yield from search(0)
-
     # -- query matching over observables ------------------------------------------------
 
     def _query_matches(
@@ -764,112 +696,95 @@ class ForestEngine:
     # -- achievability of observable combinations ----------------------------------------
 
     def _instance_views(self, instance: Instance):
-        """Per-instance candidate labels, observables, and fact indexes."""
+        """Per-instance observables, type pools, edge tables and fact indexes.
+
+        ``pools[k]`` maps each observable of the ``k``-th element to the
+        bitset of type indices of its candidate labels; ``earlier[k]`` lists,
+        per role edge between that element and an element ``m < k`` of the
+        search order, the compatibility table whose row for ``m``'s type
+        bounds the ``k``-th element's type.
+        """
         concept_facts, role_facts, closed_roles = self._data_views(instance)
         elements = sorted(instance.active_domain, key=repr)
-        candidates = {
-            element: self._candidate_labels(element, concept_facts)
-            for element in elements
-        }
-        by_observable: dict[Element, dict[tuple, list]] = {}
-        for element in elements:
-            groups: dict[tuple, list] = {}
-            for label in candidates[element]:
-                groups.setdefault(self._observable(label), []).append(label)
-            by_observable[element] = groups
-        edges = [
-            (source, target, Role(name))
-            for (source, target), names in role_facts.items()
-            for name in names
-        ]
+        position = {element: k for k, element in enumerate(elements)}
+        system = self.system
+        loops = [-1] * len(elements)  # self-loop filter: all types
+        earlier: list[list[tuple[int, list[int]]]] = [[] for _ in elements]
+        for (source, target), names in role_facts.items():
+            first, second = position[source], position[target]
+            for name in sorted(names):
+                role = Role(name)
+                rows = system.successors(role)
+                if first == second:
+                    loops[first] &= sum(
+                        1 << t for t, row in enumerate(rows) if row >> t & 1
+                    )
+                elif first < second:
+                    earlier[second].append((first, rows))
+                else:
+                    earlier[first].append((second, system.predecessors(role)))
+        pools = []
+        for k, element in enumerate(elements):
+            groups: dict[tuple, int] = {}
+            for label in self._candidate_labels(element, concept_facts):
+                key = self._observable(label)
+                groups[key] = groups.get(key, 0) | 1 << system.type_index(label[0])
+            pools.append({key: bits & loops[k] for key, bits in groups.items()})
         return {
             "elements": elements,
             "concept_facts": concept_facts,
             "closed_roles": closed_roles,
-            "candidates": candidates,
-            "by_observable": by_observable,
-            "edges": edges,
+            "space": [sorted(groups, key=repr) for groups in pools],
+            "pools": pools,
+            "earlier": earlier,
         }
 
-    def _achievable(self, views, observable_assignment: dict[Element, tuple]) -> bool:
-        """Is there a consistent labelling realising the given observables?"""
-        elements = views["elements"]
-        edges = views["edges"]
-        pools = []
-        for element in elements:
-            pool = views["by_observable"][element].get(observable_assignment[element])
-            if not pool:
-                return False
-            pools.append(pool)
-        assignment: dict[Element, tuple] = {}
+    @staticmethod
+    def _search(pools: list[int], earlier: list[list[tuple[int, list[int]]]]) -> bool:
+        """Is there a type per element, from its pool, that every role edge
+        accepts?  Elements are assigned in order; each candidate pool is
+        narrowed by AND-ing the table rows of the assigned neighbours."""
+        chosen = [0] * len(pools)
 
-        def consistent(element: Element, label) -> bool:
-            node_type = label[0]
-            for source, target, role in edges:
-                if (
-                    source == element
-                    and target in assignment
-                    and not self.system.compatible(
-                        node_type, assignment[target][0], role
-                    )
-                ):
-                    return False
-                if (
-                    target == element
-                    and source in assignment
-                    and not self.system.compatible(
-                        assignment[source][0], node_type, role
-                    )
-                ):
-                    return False
-                if (
-                    source == element
-                    and target == element
-                    and not self.system.compatible(node_type, node_type, role)
-                ):
-                    return False
-            return True
-
-        def search(index: int) -> bool:
-            if index == len(elements):
+        def search(k: int) -> bool:
+            if k == len(pools):
                 return True
-            element = elements[index]
-            for label in pools[index]:
-                if consistent(element, label):
-                    assignment[element] = label
-                    if search(index + 1):
-                        return True
-                    del assignment[element]
+            allowed = pools[k]
+            for m, table in earlier[k]:
+                allowed &= table[chosen[m]]
+            for type_index in iter_bits(allowed):
+                chosen[k] = type_index
+                if search(k + 1):
+                    return True
             return False
 
         return search(0)
 
-    def _observable_space(self, views) -> dict[Element, list[tuple]]:
-        return {
-            element: sorted(views["by_observable"][element], key=repr)
-            for element in views["elements"]
-        }
+    def _achievable(self, views, combination: tuple) -> bool:
+        """Is there a consistent labelling realising the given observables?"""
+        pools = [
+            groups.get(observable, 0)
+            for groups, observable in zip(views["pools"], combination)
+        ]
+        return all(pools) and self._search(pools, views["earlier"])
 
     def _is_consistent(self, views) -> bool:
-        elements = views["elements"]
-        space = self._observable_space(views)
-        if any(not space[element] for element in elements):
-            return False
-        return any(
-            self._achievable(views, dict(zip(elements, combination)))
-            for combination in itertools.product(*(space[e] for e in elements))
-        )
+        pools = [0] * len(views["elements"])
+        for k, groups in enumerate(views["pools"]):
+            for bits in groups.values():
+                pools[k] |= bits
+        return all(views["space"]) and self._search(pools, views["earlier"])
 
     # -- public API -------------------------------------------------------------------------
 
     def _certain_in_views(self, views, answer: tuple, cache: dict) -> bool:
         elements = views["elements"]
-        space = self._observable_space(views)
-        if any(not space[element] for element in elements):
+        space = views["space"]
+        if not all(space):
             return True  # no candidate label at all: data inconsistent
         concept_facts = views["concept_facts"]
         closed_roles = views["closed_roles"]
-        for combination in itertools.product(*(space[e] for e in elements)):
+        for combination in itertools.product(*space):
             observables = dict(zip(elements, combination))
             if self._query_matches(
                 observables, answer, concept_facts, closed_roles, elements
@@ -877,7 +792,7 @@ class ForestEngine:
                 continue
             achievable = cache.get(combination)
             if achievable is None:
-                achievable = self._achievable(views, observables)
+                achievable = self._achievable(views, combination)
                 cache[combination] = achievable
             if achievable:
                 return False

@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import itertools
 
 from ..core.cq import Atom, ConjunctiveQuery, Variable, atomic_query
 from ..core.schema import RelationSymbol, Schema
@@ -75,21 +74,20 @@ def alc_aq_to_mddlog(omq: OntologyMediatedQuery) -> DisjunctiveDatalogProgram:
                 rules.append(
                     Rule((), (Atom(predicates[t], (x,)), Atom(symbol, (x,))))
                 )
-    # Role assertions restrict pairs of guessed types.
+    # Role assertions restrict pairs of guessed types: one constraint per pair
+    # outside the type kernel's compatibility rows.
     for symbol in data_schema.role_names:
-        role = Role(symbol.name)
-        for source, target in itertools.product(good_types, repeat=2):
-            if not system.compatible(source, target, role):
-                rules.append(
-                    Rule(
-                        (),
-                        (
-                            Atom(predicates[source], (x,)),
-                            Atom(symbol, (x, y)),
-                            Atom(predicates[target], (y,)),
-                        ),
-                    )
+        for i, j in system.pairs(good_types, Role(symbol.name), compatible=False):
+            rules.append(
+                Rule(
+                    (),
+                    (
+                        Atom(predicates[good_types[i]], (x,)),
+                        Atom(symbol, (x, y)),
+                        Atom(predicates[good_types[j]], (y,)),
+                    ),
                 )
+            )
     # Goal: the query concept is contained in the guessed type.
     for t in good_types:
         if query_concept in t:

@@ -82,21 +82,21 @@ def alc_ucq_to_mddlog(omq: OntologyMediatedQuery) -> DisjunctiveDatalogProgram:
                 rules.append(
                     Rule((), (Atom(predicates[label], (x,)), Atom(symbol, (x,))))
                 )
-    # Role edges must connect compatible types.
+    # Role edges must connect compatible types: one constraint per label pair
+    # outside the type kernel's compatibility rows.
+    label_types = [label[0] for label in labels]
     for symbol in data_schema.role_names:
-        role = Role(symbol.name)
-        for source, target in itertools.product(labels, repeat=2):
-            if not system.compatible(source[0], target[0], role):
-                rules.append(
-                    Rule(
-                        (),
-                        (
-                            Atom(predicates[source], (x,)),
-                            Atom(symbol, (x, y)),
-                            Atom(predicates[target], (y,)),
-                        ),
-                    )
+        for i, j in system.pairs(label_types, Role(symbol.name), compatible=False):
+            rules.append(
+                Rule(
+                    (),
+                    (
+                        Atom(predicates[labels[i]], (x,)),
+                        Atom(symbol, (x, y)),
+                        Atom(predicates[labels[j]], (y,)),
+                    ),
                 )
+            )
     # Auxiliary predicates: which labels satisfy which query names / requirements.
     for name in relevant_names:
         for label in labels:

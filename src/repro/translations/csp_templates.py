@@ -71,18 +71,12 @@ def _type_template(
             if name in t:
                 facts.append(Fact(symbol, (t,)))
     for symbol in schema.role_names:
-        role = Role(symbol.name)
-        for source, target in itertools.product(types, repeat=2):
-            if system.compatible(source, target, role):
-                facts.append(Fact(symbol, (source, target)))
-    # Elements that carry no fact still belong to the template; add a marker so
-    # the instance's active domain covers all types, then strip it.
-    present = {a for fact in facts for a in fact.arguments}
-    for t in types:
-        if t not in present:
-            # Isolated template elements cannot be the image of any data element
-            # that occurs in a fact, so they can safely be dropped.
-            continue
+        facts.extend(
+            Fact(symbol, (types[i], types[j]))
+            for i, j in system.pairs(types, Role(symbol.name))
+        )
+    # Types that carry no fact are left out of the active domain: no data
+    # element occurring in a fact can map to them.
     return Instance(facts, schema=schema)
 
 

@@ -1,6 +1,7 @@
 """Tests for DL concepts, ontologies, the FO translation and the reasoner."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import Fact, Instance, RelationSymbol, Schema
 from repro.dl import (
@@ -17,6 +18,8 @@ from repro.dl import (
     RoleInclusion,
     Top,
     TransitiveRole,
+    UNIVERSAL_ROLE,
+    TypeSystem,
     UnsupportedOntologyError,
     concept_satisfiable,
     concept_subsumed,
@@ -207,3 +210,165 @@ def test_shi_to_alc_pipeline():
     )
     rewritten = shi_to_alc(ontology)
     assert rewritten.dialect() == "ALC"
+
+
+# -- the bitset type kernel ----------------------------------------------------------
+
+
+def _closure_scan_super_roles(ontology, role):
+    """Role-hierarchy closure rebuilt from the axioms (reference definition)."""
+    inclusions = set()
+    for axiom in ontology.role_inclusions():
+        inclusions.add((axiom.sub, axiom.sup))
+        if not axiom.sub.is_universal() and not axiom.sup.is_universal():
+            inclusions.add((axiom.sub.inverted(), axiom.sup.inverted()))
+    closure = {role}
+    changed = True
+    while changed:
+        changed = False
+        for sub, sup in inclusions:
+            if sub in closure and sup not in closure:
+                closure.add(sup)
+                changed = True
+    return closure
+
+
+def _closure_scan_compatible(system, source, target, base_role):
+    """The closure-scan definition of edge compatibility (reference oracle)."""
+    supers = _closure_scan_super_roles(system.ontology, base_role)
+    for concept in system.closure:
+        if (
+            isinstance(concept, Forall)
+            and concept in source
+            and (concept.role in supers or concept.role.is_universal())
+            and concept.filler.nnf() not in target
+        ):
+            return False
+        if (
+            isinstance(concept, Exists)
+            and concept not in source
+            and concept.role in supers
+            and concept.filler.nnf() in target
+        ):
+            return False
+    return True
+
+
+def _closure_scan_u_compatible(system, first, second):
+    """Agreement on the universal role, by closure scan (reference oracle)."""
+    for concept in system.closure:
+        if not isinstance(concept, (Exists, Forall)) or not concept.role.is_universal():
+            continue
+        filler = concept.filler.nnf()
+        if isinstance(concept, Exists):
+            if (concept in first) != (concept in second):
+                return False
+            if concept not in first and filler in second:
+                return False
+            if concept not in second and filler in first:
+                return False
+        elif (concept in first and filler not in second) or (
+            concept in second and filler not in first
+        ):
+            return False
+    return True
+
+
+def _closure_scan_good_types(system, types):
+    """Type elimination with the oracle's compatibility (reference)."""
+    alive = list(types)
+    changed = True
+    while changed:
+        changed = False
+        survivors = [
+            candidate
+            for candidate in alive
+            if all(
+                any(
+                    concept.filler.nnf() in witness
+                    and _closure_scan_compatible(system, candidate, witness, concept.role)
+                    for witness in alive
+                )
+                for concept in candidate
+                if isinstance(concept, Exists) and not concept.role.is_universal()
+            )
+        ]
+        changed = len(survivors) != len(alive)
+        alive = survivors
+    return alive
+
+
+_KERNEL_ROLES = (Role("R"), Role("S"), Role("T"))
+_RESTRICTION_ROLES = _KERNEL_ROLES + (UNIVERSAL_ROLE,)
+
+_kernel_concepts = st.recursive(
+    st.sampled_from([A, B, C, Top()]),
+    lambda inner: st.one_of(
+        inner.map(Not),
+        st.tuples(inner, inner).map(lambda pair: pair[0] & pair[1]),
+        st.tuples(inner, inner).map(lambda pair: pair[0] | pair[1]),
+        st.tuples(st.sampled_from(_RESTRICTION_ROLES), inner).map(lambda rc: Exists(*rc)),
+        st.tuples(st.sampled_from(_RESTRICTION_ROLES), inner).map(lambda rc: Forall(*rc)),
+    ),
+    max_leaves=4,
+)
+
+_kernel_ontologies = st.tuples(
+    st.lists(
+        st.tuples(_kernel_concepts, _kernel_concepts).map(
+            lambda pair: ConceptInclusion(*pair)
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    st.lists(
+        st.tuples(st.sampled_from(_KERNEL_ROLES), st.sampled_from(_KERNEL_ROLES)).map(
+            lambda pair: RoleInclusion(*pair)
+        ),
+        max_size=3,
+    ),
+).map(lambda axioms: Ontology(axioms[0] + axioms[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_ontologies)
+def test_compatibility_table_matches_closure_scan(ontology):
+    """Property: on random ALCH ontologies the table-driven ``compatible``
+    (and type elimination over it) equals the closure-scan definition for
+    every pair of types and every role, including one outside the ontology
+    and the universal role."""
+    system = TypeSystem(ontology)
+    assume(
+        len(system.concept_name_decisions) + len(system.existential_decisions) <= 9
+    )
+    types = system.all_types()
+    for role in _RESTRICTION_ROLES + (Role("Fresh"),):
+        assert ontology.super_roles(role) == _closure_scan_super_roles(ontology, role)
+        for source in types:
+            for target in types:
+                assert system.compatible(source, target, role) == (
+                    _closure_scan_compatible(system, source, target, role)
+                )
+    for first in types:
+        for second in types:
+            assert system.u_compatible(first, second) == (
+                _closure_scan_u_compatible(system, first, second)
+            )
+    assert system.good_types() == _closure_scan_good_types(system, types)
+
+
+def test_compatibility_of_types_outside_the_enumeration():
+    """Frozensets that are not enumerated types take the mask path."""
+    ontology = Ontology([ConceptInclusion(A, Forall(R, B)), RoleInclusion(Role("S"), R)])
+    system = TypeSystem(ontology)
+    source = frozenset({A, Forall(R, B)})
+    assert not system.compatible(source, frozenset(), Role("S"))
+    assert system.compatible(source, frozenset({B}), Role("S"))
+    assert system.compatible(source, frozenset(), Role("Fresh"))
+
+
+def test_closure_index_is_sorted_by_str():
+    system = TypeSystem(medical_ontology())
+    order = [str(c) for c in system.closure_order]
+    assert order == sorted(order)
+    assert set(system.closure_order) == system.closure

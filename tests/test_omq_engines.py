@@ -2,10 +2,22 @@
 including cross-checks between the complete engines and the bounded reference
 engine on the paper's worked examples."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Atom, ConjunctiveQuery, Fact, Instance, RelationSymbol, Schema, Variable, atomic_query
+from repro.core import (
+    Atom,
+    ConjunctiveQuery,
+    Fact,
+    Instance,
+    RelationSymbol,
+    Schema,
+    UnionOfConjunctiveQueries,
+    Variable,
+    atomic_query,
+)
 from repro.dl import ConceptInclusion, ConceptName, Exists, Ontology, Role
 from repro.omq import ForestEngine, OntologyMediatedQuery
 from repro.workloads.medical import (
@@ -216,3 +228,148 @@ def test_forest_engine_agrees_with_bounded_engine(edges, marked):
     atomic = omq.certain_answers(data, engine="atomic")
     bounded = omq.certain_answers(data, engine="bounded")
     assert atomic == bounded
+
+
+def _role_hierarchy_omq() -> OntologyMediatedQuery:
+    """An (ALCH, UCQ) query whose ontology has ``P ⊑ Q``, a ∃ and a ∀ over
+    the sub-role, a ∃ and a ∀ over the super-role, and whose UCQ has a tree
+    part reached by the super-role."""
+    from repro.dl import Forall, Not, Or, RoleInclusion
+
+    A, B, C, D, E, F, G = (ConceptName(n) for n in "ABCDEFG")
+    P, Q = Role("P"), Role("Q")
+    ontology = Ontology(
+        [
+            RoleInclusion(P, Q),
+            ConceptInclusion(A, Exists(P, B)),
+            ConceptInclusion(B, Or(D, E)),
+            ConceptInclusion(Exists(Q, E), C),
+            ConceptInclusion(F, Forall(Q, D)),
+            ConceptInclusion(G, Forall(P, Not(D))),
+        ]
+    )
+    x, y = Variable("x"), Variable("y")
+    schema = Schema.binary(set("ABCDEFG"), {"P", "Q"})
+    query = UnionOfConjunctiveQueries(
+        [
+            ConjunctiveQuery((x,), [Atom(RelationSymbol("C", 1), (x,))]),
+            ConjunctiveQuery(
+                (x,),
+                [
+                    Atom(RelationSymbol("Q", 2), (x, y)),
+                    Atom(RelationSymbol("D", 1), (y,)),
+                ],
+            ),
+        ]
+    )
+    return OntologyMediatedQuery(ontology=ontology, query=query, data_schema=schema)
+
+
+@functools.lru_cache(maxsize=None)
+def _role_hierarchy_engines():
+    from repro.omq.bounded import BoundedModelEngine
+
+    omq = _role_hierarchy_omq()
+    return ForestEngine(omq), BoundedModelEngine(omq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from("PQ"),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=2),
+        ),
+        max_size=4,
+    ),
+    st.lists(
+        st.tuples(st.sampled_from("ABDEFG"), st.integers(min_value=0, max_value=2)),
+        max_size=4,
+    ),
+)
+def test_forest_engine_agrees_with_bounded_engine_under_role_hierarchy(edges, marks):
+    """Property: with a role inclusion in the ontology, the forest engine and
+    the bounded reference engine agree on random small instances, on the
+    certain answers and on consistency."""
+    facts = [Fact(RelationSymbol(r, 2), (f"e{a}", f"e{b}")) for r, a, b in edges]
+    facts += [Fact(RelationSymbol(name, 1), (f"e{m}",)) for name, m in marks]
+    if not facts:
+        return
+    data = Instance(facts)
+    forest, bounded = _role_hierarchy_engines()
+    assert forest.certain_answers(data) == bounded.certain_answers(data)
+    assert forest.is_consistent(data) == (bounded.some_model(data) is not None)
+
+
+def test_role_hierarchy_sub_role_edges_carry_super_role_atoms():
+    """``P ⊑ Q``: a data P-edge into a B-element forces the query either way."""
+    data = Instance(
+        [
+            Fact(RelationSymbol("P", 2), ("a", "b")),
+            Fact(RelationSymbol("B", 1), ("b",)),
+            Fact(RelationSymbol("A", 1), ("c",)),
+        ]
+    )
+    forest, _bounded = _role_hierarchy_engines()
+    assert forest.certain_answers(data) == {("a",), ("c",)}
+    # F demands D along Q ⊒ P, G forbids it along P: no model, all certain.
+    clash = data.with_facts(
+        [Fact(RelationSymbol("F", 1), ("a",)), Fact(RelationSymbol("G", 1), ("a",))]
+    )
+    assert not forest.is_consistent(clash)
+    assert forest.certain_answers(clash) == {("a",), ("b",), ("c",)}
+
+
+@pytest.mark.parametrize(
+    "build, rules",
+    [
+        (example_2_1_omq, 7698),
+        (example_2_2_q1_omq, 7637),
+        (example_2_2_q2_omq, 7625),
+        (example_4_5_omq, 9),
+    ],
+)
+def test_theorem_3_3_rule_counts(build, rules):
+    """The Theorem 3.3 compile emits the same programs as before the type
+    kernel: pinned rule counts for the Table 1 OMQs."""
+    from repro.translations import alc_ucq_to_mddlog
+
+    assert len(alc_ucq_to_mddlog(build()).rules) == rules
+
+
+_HASH_SEED_PROBE = """
+from repro.dl.reasoner import TypeSystem
+from repro.omq.certain import certain_answers
+from repro.workloads.medical import example_2_1_omq, patient_instance
+omq = example_2_1_omq()
+print([str(c) for c in TypeSystem(omq.ontology).closure_order])
+for engine in ("auto", "planned"):
+    print(engine, sorted(certain_answers(omq, patient_instance(), engine=engine)))
+"""
+
+
+def test_example_2_1_is_hash_seed_independent():
+    """Example 2.1's answers (auto and planned routes) and the closure index
+    order are the same under different ``PYTHONHASHSEED`` values."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs.add(
+            subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROBE],
+                env=env,
+                check=True,
+                capture_output=True,
+                text=True,
+            ).stdout
+        )
+    assert len(outputs) == 1
+    (output,) = outputs
+    assert "auto [('patient1',), ('patient2',)]" in output
+    assert "planned [('patient1',), ('patient2',)]" in output
