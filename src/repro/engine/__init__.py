@@ -17,7 +17,13 @@ the indexed homomorphism search in :mod:`repro.core.homomorphism`); see
 ``ARCHITECTURE.md`` at the repository root for the layer diagram.
 """
 
-from .grounder import Clause, GroundAtom, GroundProgram, ground_program
+from .grounder import (
+    Clause,
+    GroundAtom,
+    GroundProgram,
+    ground_program,
+    no_model_answers,
+)
 from .joins import (
     JoinPlan,
     canonical_key,
@@ -49,6 +55,7 @@ __all__ = [
     "join_assignments",
     "join_exists",
     "matching_rows",
+    "no_model_answers",
     "order_atoms",
     "parallel_certain_answers",
     "resolve_workers",

@@ -33,6 +33,49 @@ GroundAtom = tuple  # (RelationSymbol, argument tuple)
 _SUBSUMPTION_LIMIT = 20_000
 
 
+def no_model_answers(
+    active_domain: frozenset,
+    arity: int,
+    candidates: Iterable[tuple] | None = None,
+) -> frozenset[tuple]:
+    """The certain answers when no model extends the data.
+
+    Certain answers are the ``arity``-tuples over ``adom(D)`` that hold in
+    every model; when no model exists every such tuple is (vacuously)
+    certain, and nothing else is.  With ``candidates`` the result is the
+    certain ones among them, so a batch is decided without enumerating
+    ``adom ** arity``.  This is the single implementation of the rule:
+    the grounder, the planner's tier executors, the serving sessions and
+    the sharded merge all call it.
+    """
+    if candidates is None:
+        domain = sorted(active_domain, key=repr)
+        return frozenset(itertools.product(domain, repeat=arity))
+    return frozenset(
+        candidate
+        for candidate in candidates
+        if len(candidate) == arity
+        and all(value in active_domain for value in candidate)
+    )
+
+
+def screen_candidates(
+    solver: ClauseSolver, goal, candidates: Iterable[tuple]
+) -> list[tuple]:
+    """The certain candidates, right after an assumption-free ``solve()``
+    succeeded: that model screens candidates whose goal atom it already
+    refutes (a counter-model), and the rest cost one assumption query each.
+    With the solver's false-first phase this dismisses most non-answers
+    with a single search."""
+    model = solver.last_model
+    return [
+        candidate
+        for candidate in candidates
+        if model.get((goal, candidate), False)
+        and not solver.solve(false_atoms=[(goal, candidate)])
+    ]
+
+
 def instantiate_atom(atom: Atom, assignment: dict[Variable, Element]) -> GroundAtom:
     """Ground an atom under a variable assignment into a ``GroundAtom``."""
     arguments = tuple(
@@ -355,33 +398,27 @@ class GroundProgram:
         return self.solver.solve(false_atoms=self._goal_atoms(goal_tuples))
 
     def holds(self, answer: Sequence = ()) -> bool:
-        return not self.has_model_avoiding([tuple(answer)])
+        """Is ``answer`` certain?  One solver call: a tuple without a
+        counter-model is certain, or no model exists at all and the
+        no-model rule decides — so ill-formed tuples are screened first."""
+        answer = tuple(answer)
+        if not no_model_answers(
+            self.instance.active_domain, self.program.arity, [answer]
+        ):
+            return False
+        return not self.has_model_avoiding([answer])
 
     def certain_answers(self) -> frozenset[tuple]:
-        """All certain answers, deciding each candidate incrementally.
-
-        The first (assumption-free) model is reused to screen candidates: a
-        goal atom already false in it has a counter-model and needs no second
-        solver call.  With the solver's false-first phase this dismisses most
-        non-answers with a single search.
-        """
-        domain = sorted(self.instance.active_domain, key=repr)
+        """All certain answers, each candidate decided incrementally
+        against the persistent solver (:func:`screen_candidates`)."""
         arity = self.program.arity
+        if not self.solver.solve():
+            return no_model_answers(self.instance.active_domain, arity)
+        domain = sorted(self.instance.active_domain, key=repr)
         candidates = itertools.product(domain, repeat=arity)
-        solver = self.solver
-        if not solver.solve():
-            # No model at all: every tuple is (vacuously) certain.
-            return frozenset(candidates)
-        model = solver.last_model
-        goal = self.program.goal_relation
-        answers: set[tuple] = set()
-        for candidate in candidates:
-            atom = (goal, candidate)
-            if not model.get(atom, False):
-                continue
-            if not solver.solve(false_atoms=[atom]):
-                answers.add(candidate)
-        return frozenset(answers)
+        return frozenset(
+            screen_candidates(self.solver, self.program.goal_relation, candidates)
+        )
 
 
 def ground_program(

@@ -37,7 +37,7 @@ import itertools
 import os
 from typing import Callable, Iterable, Sequence
 
-from .grounder import GroundAux, GroundProgram
+from .grounder import GroundAux, GroundProgram, no_model_answers, screen_candidates
 from .sat import Clause, ClauseSolver, TseitinAux
 
 __all__ = [
@@ -212,7 +212,7 @@ _SHARED_CLAUSE_WIDTH = 3
 def _replica_solver(context: _WorkerContext) -> ClauseSolver:
     solver = context.cache.get("solver")
     if solver is None:
-        clauses, _goal, _adom = context.payload
+        clauses = context.payload[0]
         solver = ClauseSolver()
         for negative, positive in clauses:
             solver.add_clause(negative, positive)
@@ -226,34 +226,24 @@ def _decide_chunk(
 ):
     """Decide one chunk of candidate tuples against the replica solver.
 
-    Mirrors :meth:`GroundProgram.certain_answers`: one assumption-free model
-    screens candidates whose goal atom it already refutes; the rest cost one
-    assumption query each.  Returns the per-candidate verdicts plus the
-    short learned clauses this chunk's searches produced.
+    Mirrors :meth:`GroundProgram.certain_answers`
+    (:func:`~repro.engine.grounder.screen_candidates`).  Returns the
+    per-candidate verdicts plus the short learned clauses this chunk's
+    searches produced.
     """
     solver = _replica_solver(context)
-    _clauses, goal, adom = context.payload
+    _clauses, goal, adom, arity = context.payload
     seen_shared: set = context.cache["seen_shared"]
     for clause in shared:
         if clause not in seen_shared:
             seen_shared.add(clause)
             solver.add_clause(*clause)
     export_base = solver.clause_count()
-    if not solver.solve():
-        # No model extends the data at all: every tuple over the active
-        # domain is vacuously certain (tuples outside it never are —
-        # mirrors the session layer's decide_batch).
-        return [
-            all(value in adom for value in candidate) for candidate in chunk
-        ], ()
-    model = solver.last_model
-    verdicts: list[bool] = []
-    for candidate in chunk:
-        atom = (goal, candidate)
-        if not model.get(atom, False):
-            verdicts.append(False)  # the screening model is a counter-model
-            continue
-        verdicts.append(not solver.solve(false_atoms=[atom]))
+    if solver.solve():
+        certain = set(screen_candidates(solver, goal, chunk))
+    else:
+        certain = no_model_answers(adom, arity, chunk)
+    verdicts = [candidate in certain for candidate in chunk]
     learned = [
         clause
         for clause in solver.export_clauses(
@@ -291,6 +281,7 @@ class ParallelEvaluator:
                 ground.clauses,
                 ground.program.goal_relation,
                 ground.instance.active_domain,
+                ground.program.arity,
             ),
             workers,
         )

@@ -50,15 +50,15 @@ from .analysis import (
     estimate_unfolding,
     unfold_to_ucq,
 )
+from ..engine.grounder import no_model_answers
 from .execute import (
     PlannedMddlogEngine,
+    TierExecutor,
+    UcqExecutor,
     execute_plan,
     fixpoint_certain_answers,
-    ucq_candidate_certain,
     ucq_certain_answers,
     unfolding_consistent,
-    vacuous_answers,
-    vacuous_decisions,
 )
 from .plan import (
     TIER_FIXPOINT,
@@ -81,7 +81,6 @@ from .policy import (
     AdaptivePolicy,
     PlanPolicy,
     UnfoldCaps,
-    resolve_policy,
 )
 from .semantic import (
     SemanticBudget,
@@ -109,7 +108,9 @@ __all__ = [
     "TIER_NAMES",
     "TIER_REWRITE",
     "TierCostModel",
+    "TierExecutor",
     "TierRates",
+    "UcqExecutor",
     "UcqUnfolding",
     "UnfoldCaps",
     "UnfoldedDisjunct",
@@ -124,16 +125,13 @@ __all__ = [
     "estimate_unfolding",
     "execute_plan",
     "fixpoint_certain_answers",
+    "no_model_answers",
     "plan_for_tier",
     "plan_program",
     "plan_workload",
     "program_identity_key",
-    "resolve_policy",
     "static_rates",
-    "ucq_candidate_certain",
     "ucq_certain_answers",
     "unfold_to_ucq",
     "unfolding_consistent",
-    "vacuous_answers",
-    "vacuous_decisions",
 ]

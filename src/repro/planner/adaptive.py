@@ -26,9 +26,10 @@ both directions).  This module closes the loop:
   ``warmup`` before the first, so the session never flaps
   (:class:`~repro.planner.policy.AdaptivePolicy` holds the knobs).
 
-The controller only *decides*; the hot state swap itself —
-``_SatState``/``_FixpointState``/``_UcqState`` rebuilt from the current
-frozen instance with warm join-plan caches transplanted — lives in
+The controller only *decides*; the hot swap itself — a fresh
+:class:`~repro.planner.execute.TierExecutor` for the target tier, built
+from the current frozen instance with the warm join-plan caches the
+retired executor banked (``warm_caches()``) transplanted — lives in
 :meth:`repro.service.session.ObdaSession`.
 """
 

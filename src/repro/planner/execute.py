@@ -1,10 +1,11 @@
 """Executors for the planner's three tiers.
 
 Every executor computes exactly the certain answers the ground+CDCL engine
-(:mod:`repro.engine.grounder`) would — including the vacuous-certainty
-convention for inconsistent programs (every tuple over the active domain)
-and the restriction of answers to the active domain — so routing never
-changes answers, only cost:
+(:mod:`repro.engine.grounder`) would — including the no-model rule
+(:func:`~repro.engine.grounder.no_model_answers`: with no model, every
+tuple of the query's arity over the active domain is certain) and the
+restriction of answers to the active domain — so routing never changes
+answers, only cost:
 
 * tier 0 evaluates the UCQ unfolding disjunct-by-disjunct with the
   engine's join planner directly over the instance indexes;
@@ -15,17 +16,23 @@ changes answers, only cost:
   model, so firing means *no* model exists);
 * tier 2 grounds once and decides candidates against the persistent
   incremental CDCL solver, optionally across a worker pool.
+
+:class:`TierExecutor` is the decision protocol the serving layer shares:
+its base class answers ``certain_answers`` / ``decide`` / ``is_certain``
+once, over per-tier hooks.  The stateless tier-0 executor lives here; the
+stateful tier-1/2 executors (DRed fixpoint, guarded CDCL solver) live in
+:mod:`repro.service.session`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..core.cq import Variable
-from ..core.instance import Instance
+from ..core.instance import Fact, Instance
 from ..datalog.plain import DatalogProgram
-from ..engine.grounder import ground_program
+from ..engine.grounder import ground_program, no_model_answers
 from ..engine.joins import compile_join, execute_join, join_exists
 from ..engine.parallel import parallel_certain_answers, resolve_workers
 from .analysis import UcqUnfolding, UnfoldedDisjunct
@@ -39,21 +46,79 @@ from .plan import (
 )
 
 
-def vacuous_answers(instance: Instance, arity: int) -> frozenset[tuple]:
-    """Every tuple over the active domain (the no-model convention)."""
-    domain = sorted(instance.active_domain, key=repr)
-    return frozenset(itertools.product(domain, repeat=arity))
+class TierExecutor:
+    """One plan's tier behind the shared certain-answer protocol.
 
+    The base class implements :meth:`certain_answers`, :meth:`decide` and
+    :meth:`is_certain` once: inconsistent data goes through the no-model
+    rule, and only arity-tuples over the active domain ever reach a tier.
+    Each tier supplies
 
-def vacuous_decisions(
-    instance: Instance, candidates: "Sequence[tuple]"
-) -> dict[tuple, bool]:
-    """Per-candidate verdicts when no model exists: certain iff over adom."""
-    adom = instance.active_domain
-    return {
-        candidate: all(value in adom for value in candidate)
-        for candidate in candidates
-    }
+    * :meth:`consistent` — does some model extend the data?
+    * :meth:`answers` / :meth:`certain_among` — the consistent case, always
+      called right after :meth:`consistent` returned ``True``;
+    * :meth:`insert` / :meth:`delete` — maintenance under updates (no-ops
+      for a stateless tier);
+    * :meth:`warm_caches` — compiled join plans worth transplanting into a
+      rebuilt executor of the same plan (``warm=`` of the constructors).
+    """
+
+    tier: int
+
+    def __init__(self, plan: QueryPlan) -> None:
+        self.plan = plan
+        self.program = plan.program
+
+    # -- per-tier hooks --------------------------------------------------------
+
+    def consistent(self, instance: Instance) -> bool:
+        raise NotImplementedError
+
+    def answers(self, instance: Instance) -> frozenset[tuple]:
+        raise NotImplementedError
+
+    def certain_among(
+        self, instance: Instance, candidates: list[tuple]
+    ) -> Iterable[tuple]:
+        raise NotImplementedError
+
+    def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
+        """Absorb an inserted delta; returns the clauses pushed."""
+        return 0
+
+    def delete(self, removed: Iterable[Fact]) -> None:
+        pass
+
+    def warm_caches(self):
+        return None
+
+    # -- the shared protocol ---------------------------------------------------
+
+    def certain_answers(self, instance: Instance) -> frozenset[tuple]:
+        if not self.consistent(instance):
+            return no_model_answers(instance.active_domain, self.program.arity)
+        return self.answers(instance)
+
+    def decide(
+        self, instance: Instance, candidates: Sequence[tuple]
+    ) -> dict[tuple, bool]:
+        """Per-candidate verdicts, in one pass over the tier's state."""
+        well_formed = no_model_answers(
+            instance.active_domain, self.program.arity, candidates
+        )
+        if self.consistent(instance):
+            certain = frozenset(
+                self.certain_among(
+                    instance, [c for c in candidates if c in well_formed]
+                )
+            )
+        else:
+            certain = well_formed
+        return {candidate: candidate in certain for candidate in candidates}
+
+    def is_certain(self, instance: Instance, answer: Sequence = ()) -> bool:
+        answer = tuple(answer)
+        return self.decide(instance, [answer])[answer]
 
 
 # ---------------------------------------------------------------------------
@@ -166,46 +231,62 @@ def unfolding_consistent(unfolding: UcqUnfolding, instance: Instance) -> bool:
     )
 
 
+def _disjunct_entails(
+    disjunct: UnfoldedDisjunct, instance: Instance, candidate: tuple
+) -> bool:
+    """Does the disjunct, answer terms bound to ``candidate``, have a witness?"""
+    initial: dict = {}
+    for term, value in zip(disjunct.answer_terms, candidate):
+        if isinstance(term, Variable):
+            if initial.setdefault(term, value) != value:
+                return False
+        elif term != value:
+            return False
+    return _disjunct_satisfiable(disjunct, instance, initial)
+
+
+class UcqExecutor(TierExecutor):
+    """Tier 0: stateless UCQ evaluation against the instance indexes.
+
+    Nothing is maintained under updates — the unfolded goal and constraint
+    UCQs are joined against the current instance on every query, which is
+    exactly the FO-rewritability promise of the paper's Table 1 examples
+    made operational.
+    """
+
+    tier = TIER_REWRITE
+
+    def __init__(self, plan: QueryPlan) -> None:
+        super().__init__(plan)
+        assert plan.unfolding is not None
+        self.unfolding = plan.unfolding
+
+    def consistent(self, instance: Instance) -> bool:
+        return unfolding_consistent(self.unfolding, instance)
+
+    def answers(self, instance: Instance) -> frozenset[tuple]:
+        domain = sorted(instance.active_domain, key=repr)
+        answers: set[tuple] = set()
+        for disjunct in self.unfolding.goal_disjuncts:
+            answers.update(_disjunct_answers(disjunct, instance, domain))
+        return frozenset(answers)
+
+    def certain_among(
+        self, instance: Instance, candidates: list[tuple]
+    ) -> Iterable[tuple]:
+        return [
+            candidate
+            for candidate in candidates
+            if any(
+                _disjunct_entails(disjunct, instance, candidate)
+                for disjunct in self.unfolding.goal_disjuncts
+            )
+        ]
+
+
 def ucq_certain_answers(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
     """Tier-0 certain answers: evaluate the unfolded UCQ, no grounding."""
-    unfolding = plan.unfolding
-    assert unfolding is not None
-    if not unfolding_consistent(unfolding, instance):
-        return vacuous_answers(instance, plan.program.arity)
-    domain = sorted(instance.active_domain, key=repr)
-    answers: set[tuple] = set()
-    for disjunct in unfolding.goal_disjuncts:
-        answers.update(_disjunct_answers(disjunct, instance, domain))
-    return frozenset(answers)
-
-
-def ucq_candidate_certain(
-    unfolding: UcqUnfolding, instance: Instance, candidate: tuple
-) -> bool:
-    """Decide one candidate tuple against the unfolded goal.
-
-    Assumes consistency was checked; binds the answer terms and asks the
-    join planner for a single witness per disjunct.
-    """
-    adom = instance.active_domain
-    if any(value not in adom for value in candidate):
-        return False
-    for disjunct in unfolding.goal_disjuncts:
-        if len(disjunct.answer_terms) != len(candidate):
-            continue
-        initial: dict = {}
-        feasible = True
-        for term, value in zip(disjunct.answer_terms, candidate):
-            if isinstance(term, Variable):
-                if initial.setdefault(term, value) != value:
-                    feasible = False
-                    break
-            elif term != value:
-                feasible = False
-                break
-        if feasible and _disjunct_satisfiable(disjunct, instance, initial):
-            return True
-    return False
+    return UcqExecutor(plan).certain_answers(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +339,27 @@ def constraint_fires(rule, fixpoint: Instance) -> bool:
     return join_exists(compile_join(rule.body, fixpoint), fixpoint)
 
 
+def fixpoint_consistent(plan: QueryPlan, fixpoint: Instance) -> bool:
+    """Does some model exist — no constraint of the executed program fires
+    on its materialized minimal model ``fixpoint``?
+
+    The constraints are those of the program the tier actually runs: a
+    semantic canonical-datalog rewriting has none (template
+    incompatibilities are already encoded in its image-set rules).
+    """
+    return not any(
+        constraint_fires(rule, fixpoint)
+        for rule in plan.execution_program.rules
+        if rule.is_constraint()
+    )
+
+
 def fixpoint_certain_answers(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
     """Tier-1 certain answers: least fixpoint + constraint check, no SAT."""
     program = plan.execution_program
-    datalog = fixpoint_program(plan)
-    fixpoint = datalog.least_fixpoint(instance)
-    constraints = [rule for rule in program.rules if not rule.head]
-    if any(constraint_fires(rule, fixpoint) for rule in constraints):
-        return vacuous_answers(instance, program.arity)
+    fixpoint = fixpoint_program(plan).least_fixpoint(instance)
+    if not fixpoint_consistent(plan, fixpoint):
+        return no_model_answers(instance.active_domain, program.arity)
     adom = instance.active_domain
     return frozenset(
         row
@@ -315,11 +409,7 @@ class PlannedMddlogEngine:
     its certain answers exactly.
     """
 
-    def __init__(self, program, semantic=None, budget=None, policy=None) -> None:
-        from .policy import PlanPolicy
-
-        if policy is None:
-            policy = PlanPolicy(semantic=semantic, semantic_budget=budget)
+    def __init__(self, program, policy=None) -> None:
         self.program = program
         self.plan = plan_program(program, policy)
 
@@ -329,14 +419,8 @@ class PlannedMddlogEngine:
         return execute_plan(self.plan, instance, parallel=parallel)
 
     def is_certain(self, instance: Instance, answer: Sequence = ()) -> bool:
-        answer = tuple(answer)
         if self.plan.tier == TIER_REWRITE:
-            unfolding = self.plan.unfolding
-            assert unfolding is not None
-            if not unfolding_consistent(unfolding, instance):
-                adom = instance.active_domain
-                return all(value in adom for value in answer)
-            return ucq_candidate_certain(unfolding, instance, answer)
+            return UcqExecutor(self.plan).is_certain(instance, answer)
         if self.plan.tier == TIER_FIXPOINT:
-            return answer in fixpoint_certain_answers(self.plan, instance)
+            return tuple(answer) in fixpoint_certain_answers(self.plan, instance)
         return ground_program(self.program, instance).holds(answer)

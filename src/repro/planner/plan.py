@@ -53,7 +53,7 @@ from .analysis import (
     effective_unfold_caps,
     unfold_to_ucq,
 )
-from .policy import _UNSET, PlanPolicy, UnfoldCaps, resolve_policy
+from .policy import PlanPolicy, UnfoldCaps
 from .semantic import DEFAULT_BUDGET, SemanticBudget, SemanticReport
 
 TIER_REWRITE = 0
@@ -181,18 +181,12 @@ _SEMANTIC_PLANS_ATTR = "_planner_semantic_plans"
 def plan_program(
     program: DisjunctiveDatalogProgram,
     policy: PlanPolicy | None = None,
-    *,
-    semantic=_UNSET,
-    budget=_UNSET,
-    check=_UNSET,
 ) -> QueryPlan:
     """The (cached) cheapest-correct-engine plan for a compiled program.
 
-    All knobs arrive through ``policy`` (:class:`PlanPolicy`); the
-    ``semantic=`` / ``budget=`` / ``check=`` keywords are deprecated
-    aliases that construct an equivalent policy and warn.  A policy with
-    ``tier`` set delegates to :func:`plan_for_tier` (forced tiers bypass
-    the semantic stage entirely).
+    All knobs arrive through ``policy`` (:class:`PlanPolicy`).  A policy
+    with ``tier`` set delegates to :func:`plan_for_tier` (forced tiers
+    bypass the semantic stage entirely).
 
     Syntactic classification always runs first (and is cached on the
     program object, per resolved unfolding caps).  When it lands on tier 2
@@ -213,11 +207,8 @@ def plan_program(
     diagnostics before any classification work, ``"warn"`` reports them as
     Python warnings, ``"off"`` (the default here) trusts the caller.
     """
-    policy = resolve_policy(
-        policy,
-        {"semantic": semantic, "budget": budget, "check": check},
-        where="plan_program",
-    )
+    if policy is None:
+        policy = PlanPolicy()
     if policy.tier is not None:
         return plan_for_tier(program, policy.tier, caps=policy.unfold_caps)
     resolved_check = policy.resolved_check("off")
@@ -393,14 +384,8 @@ def plan_for_tier(
 def plan_workload(
     programs: Mapping[str, DisjunctiveDatalogProgram],
     policy: PlanPolicy | None = None,
-    *,
-    semantic=_UNSET,
-    budget=_UNSET,
 ) -> dict[str, QueryPlan]:
     """Plan every compiled query of a workload (cached per program)."""
-    policy = resolve_policy(
-        policy, {"semantic": semantic, "budget": budget}, where="plan_workload"
-    )
     return {
         name: plan_program(program, policy)
         for name, program in programs.items()

@@ -948,17 +948,15 @@ def cross_validate(
 
 def _plan_consistent(plan, data: Instance) -> bool | None:
     """The candidate plan's consistency verdict (None when not SAT-free)."""
-    from .execute import constraint_fires, fixpoint_program, unfolding_consistent
+    from .execute import fixpoint_consistent, fixpoint_program, unfolding_consistent
     from .plan import TIER_FIXPOINT, TIER_REWRITE
 
     if plan.tier == TIER_REWRITE and plan.unfolding is not None:
         return unfolding_consistent(plan.unfolding, data)
     if plan.tier == TIER_FIXPOINT:
-        constraints = [
-            rule for rule in plan.execution_program.rules if rule.is_constraint()
-        ]
-        fixpoint = fixpoint_program(plan).least_fixpoint(data)
-        return not any(constraint_fires(rule, fixpoint) for rule in constraints)
+        return fixpoint_consistent(
+            plan, fixpoint_program(plan).least_fixpoint(data)
+        )
     return None
 
 

@@ -149,6 +149,16 @@ class DeltaGrounder:
                     self._emit_clause(state, {}, (), bootstrap.append)
         self._bootstrap = bootstrap
 
+    def join_plans(self) -> list[tuple]:
+        """Every rule's compiled join plans, for :meth:`adopt_join_plans`."""
+        return [(state.plans, state.plans_interner) for state in self._rules]
+
+    def adopt_join_plans(self, warm: list[tuple]) -> None:
+        """Transplant plans banked from a grounder of the same program."""
+        for state, (plans, interner) in zip(self._rules, warm):
+            state.plans = plans
+            state.plans_interner = interner
+
     def bootstrap_clauses(self) -> list[Clause]:
         """Clauses valid over the empty instance (rules without EDB atoms or
         free variables); push these into the solver before the first epoch."""
@@ -325,6 +335,16 @@ class IncrementalFixpoint:
             entry = (plan, seed_row_builder(head, plan, interner))
             self._rederive_plans[rule_index] = entry
         return entry
+
+    def join_plans(self) -> tuple | None:
+        """The re-derivation plans, once a deletion compiled any."""
+        if self._rederive_plans is None:
+            return None
+        return self._rederive_plans, self._rederive_interner
+
+    def adopt_join_plans(self, warm: tuple) -> None:
+        """Transplant plans banked from a fixpoint of the same program."""
+        self._rederive_plans, self._rederive_interner = warm
 
     @property
     def edb(self) -> Instance:

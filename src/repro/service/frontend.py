@@ -56,8 +56,8 @@ from ..core.instance import Fact
 from ..datalog.ddlog import DisjunctiveDatalogProgram
 from ..obs import telemetry as _telemetry
 from ..obs.telemetry import Reservoir
-from ..planner import PlanCache, PlanPolicy, plan_for_tier, plan_program
-from .session import DEFAULT_QUERY, ObdaSession, SessionSnapshot, _compile
+from ..planner import PlanCache, PlanPolicy, plan_program
+from .session import ObdaSession, SessionSnapshot, compile_workload
 
 __all__ = [
     "FaultInjector",
@@ -358,26 +358,18 @@ class Frontend:
                     "workload/session or register tenants with workloads"
                 )
         else:
-            if isinstance(workload, Mapping):
-                entries = dict(workload)
-            else:
-                entries = {DEFAULT_QUERY: workload}
             compiled = {
-                name: self.plan_cache.intern(_compile(entry))
-                for name, entry in entries.items()
+                name: self.plan_cache.intern(program)
+                for name, program in compile_workload(workload).items()
             }
             policy = self._policy
             for program in compiled.values():
                 # Plan at registration time: a shared representative hits
                 # the per-program plan cache here, which is what makes
                 # cross-tenant sharing observable in the planner counters.
-                if policy is not None and policy.tier is not None:
-                    plan_for_tier(program, policy.tier, caps=policy.unfold_caps)
-                else:
-                    plan_program(
-                        program,
-                        policy.planning_view() if policy is not None else None,
-                    )
+                plan_program(
+                    program, policy.planning_view() if policy is not None else None
+                )
             key = tuple(
                 sorted((name, id(program)) for name, program in compiled.items())
             )

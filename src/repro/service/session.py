@@ -8,22 +8,30 @@ program used directly — and the session then answers every query against a
 single mutable data instance that evolves fact-by-fact.
 
 Each compiled query is routed by the tiered planner
-(:mod:`repro.planner`) to persistent evaluation state matching its
-:class:`~repro.planner.QueryPlan`:
+(:mod:`repro.planner`) and served by the :class:`~repro.planner.TierExecutor`
+matching its :class:`~repro.planner.QueryPlan`.  The executor base class
+answers ``certain_answers`` / ``decide`` / ``is_certain`` once — the
+no-model rule included — and each tier only supplies its consistency
+test, its consistent-case answers and its update maintenance:
 
 * tier 0 (nonrecursive disjunction-free) needs *no* state at all: the goal
   and constraints are unfolded into UCQs once, and every query is a join
-  against the live instance indexes (:class:`_UcqState`);
+  against the live instance indexes (:class:`~repro.planner.UcqExecutor`);
 * tier 1 (recursive disjunction-free) keeps a materialized least fixpoint
   maintained by semi-naive insertion and DRed deletion
-  (:class:`repro.service.delta.IncrementalFixpoint`), with constraints
+  (:class:`FixpointExecutor` over
+  :class:`repro.service.delta.IncrementalFixpoint`), with constraints
   checked against the minimal model at query time;
 * tier 2 (genuinely disjunctive) keeps a live CDCL solver fed by
-  support-guarded delta grounding
-  (:class:`repro.service.delta.DeltaGrounder`): insertions push only the
+  support-guarded delta grounding (:class:`SatExecutor` over
+  :class:`repro.service.delta.DeltaGrounder`): insertions push only the
   newly justified clauses, deletions retract the facts' guard assumptions,
   and certain answers are assumption queries against the warm solver with
   all learned clauses intact.
+
+A :class:`SessionSnapshot` whose session has moved on recomputes through
+the one-shot :func:`~repro.planner.execute_plan`, which runs the same
+per-tier code on the pinned instance.
 
 Answers after every update are identical to a from-scratch recomputation
 over the current instance (the streaming test-suite cross-validates this on
@@ -48,27 +56,23 @@ from typing import Iterable, Mapping, Sequence
 from ..analysis import vet_program
 from ..core.instance import Fact, Instance
 from ..datalog.ddlog import DisjunctiveDatalogProgram
+from ..engine.grounder import screen_candidates
 from ..engine.sat import ClauseSolver
 from ..obs import telemetry as _telemetry
 from ..omq.query import OntologyMediatedQuery
 from ..planner import (
     TIER_FIXPOINT,
+    TIER_GROUND_SAT,
     TIER_REWRITE,
+    PlanPolicy,
     QueryPlan,
-    plan_for_tier,
+    TierExecutor,
+    UcqExecutor,
+    execute_plan,
     plan_program,
-    ucq_candidate_certain,
-    ucq_certain_answers,
-    unfolding_consistent,
 )
 from ..planner.adaptive import AdaptiveController, candidate_plans
-from ..planner.execute import (
-    constraint_fires,
-    fixpoint_program,
-    vacuous_answers,
-    vacuous_decisions,
-)
-from ..planner.policy import _UNSET, PlanPolicy, resolve_policy
+from ..planner.execute import fixpoint_consistent, fixpoint_program
 from .delta import DeltaGrounder, IncrementalFixpoint, fact_guard
 from .explain import EXPLAIN_SCHEMA
 
@@ -87,16 +91,85 @@ def _compile(entry) -> DisjunctiveDatalogProgram:
     )
 
 
-class _SatState:
-    """Tier 2: guarded ground program + persistent CDCL solver for one query."""
+def compile_workload(
+    workload, check: str = "off"
+) -> dict[str, DisjunctiveDatalogProgram]:
+    """One OMQ / DDlog program, or a name -> entry mapping, compiled once
+    (OMQs through Theorem 3.3) and vetted by the static analyzer in
+    ``check`` mode before any solver state exists."""
+    if not isinstance(workload, Mapping):
+        workload = {DEFAULT_QUERY: workload}
+    compiled = {name: _compile(entry) for name, entry in workload.items()}
+    for name, program in compiled.items():
+        vet_program(program, check, label=name)
+    return compiled
 
-    def __init__(self, plan: QueryPlan) -> None:
-        self.plan = plan
-        self.program = plan.program
+
+def _resolve_query(names, name: str | None, owner: str) -> str:
+    """The query a ``name=None``-defaulting read addresses."""
+    if name is None:
+        if len(names) == 1:
+            return next(iter(names))
+        raise ValueError(f"{owner} serves {sorted(names)}; pass a query name")
+    if name not in names:
+        raise KeyError(f"unknown query {name!r}; {owner} serves {sorted(names)}")
+    return name
+
+
+class FixpointExecutor(TierExecutor):
+    """Tier 1: a materialized least fixpoint, DRed-maintained under updates.
+
+    Constraints (empty-headed rules) are checked against the materialized
+    minimal model at query time: rule bodies are positive, so a constraint
+    body satisfied in the least fixpoint is satisfied in *every* model, in
+    which case no model exists.
+    """
+
+    tier = TIER_FIXPOINT
+
+    def __init__(self, plan: QueryPlan, instance: Instance, warm=None) -> None:
+        super().__init__(plan)
+        self.fixpoint = IncrementalFixpoint(fixpoint_program(plan), instance=instance)
+        if warm is not None:
+            self.fixpoint.adopt_join_plans(warm)
+
+    def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
+        self.fixpoint.insert(delta)
+        return 0
+
+    def delete(self, removed: Iterable[Fact]) -> None:
+        self.fixpoint.delete(removed)
+
+    def warm_caches(self):
+        return self.fixpoint.join_plans()
+
+    def consistent(self, instance: Instance) -> bool:
+        return fixpoint_consistent(self.plan, self.fixpoint.fixpoint)
+
+    def answers(self, instance: Instance) -> frozenset[tuple]:
+        return self.fixpoint.goal_answers()
+
+    def certain_among(self, instance: Instance, candidates: list[tuple]) -> list[tuple]:
+        answers = self.fixpoint.goal_answers()
+        return [candidate for candidate in candidates if candidate in answers]
+
+
+class SatExecutor(TierExecutor):
+    """Tier 2: guarded delta grounding feeding one persistent CDCL solver."""
+
+    tier = TIER_GROUND_SAT
+
+    def __init__(self, plan: QueryPlan, instance: Instance, warm=None) -> None:
+        super().__init__(plan)
         self.grounder = DeltaGrounder(self.program)
+        if warm is not None:
+            self.grounder.adopt_join_plans(warm)
         self.solver = ClauseSolver()
         for negative, positive in self.grounder.bootstrap_clauses():
             self.solver.add_clause(negative, positive)
+        facts = sorted(instance.facts, key=str)
+        if facts:
+            self.insert(Instance([]), Instance(facts), instance)
 
     def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
         clauses = self.grounder.insert(old, delta, new)
@@ -110,153 +183,20 @@ class _SatState:
         for fact in removed:
             self.solver.retract_assumption(fact_guard(fact))
 
-    def certain_answers(self, instance: Instance) -> frozenset[tuple]:
-        domain = sorted(instance.active_domain, key=repr)
-        candidates = list(itertools.product(domain, repeat=self.program.arity))
-        decided = self.decide_batch(instance, candidates)
-        return frozenset(c for c, certain in decided.items() if certain)
+    def warm_caches(self):
+        return self.grounder.join_plans()
 
-    def is_consistent(self, instance: Instance) -> bool:
+    def consistent(self, instance: Instance) -> bool:
         return self.solver.solve()
 
-    def decide_batch(
-        self, instance: Instance, candidates: Sequence[tuple]
-    ) -> dict[tuple, bool]:
-        goal = self.program.goal_relation
-        adom = instance.active_domain
-        if not self.solver.solve():
-            # No model extends the data at all: every tuple over the active
-            # domain is vacuously certain (mirrors
-            # GroundProgram.certain_answers, which only enumerates adom
-            # tuples; candidates outside it are never answers).
-            return vacuous_decisions(instance, candidates)
-        model = self.solver.last_model
-        decided: dict[tuple, bool] = {}
-        for candidate in candidates:
-            if any(value not in adom for value in candidate):
-                decided[candidate] = False
-                continue
-            atom = (goal, candidate)
-            if not model.get(atom, False):
-                # The screening model is already a counter-model.
-                decided[candidate] = False
-                continue
-            decided[candidate] = not self.solver.solve(false_atoms=[atom])
-        return decided
+    def answers(self, instance: Instance) -> frozenset[tuple]:
+        domain = sorted(instance.active_domain, key=repr)
+        candidates = list(itertools.product(domain, repeat=self.program.arity))
+        return frozenset(self.certain_among(instance, candidates))
 
-    def is_certain(self, instance: Instance, answer: tuple) -> bool:
-        return self.decide_batch(instance, [answer])[answer]
-
-
-class _FixpointState:
-    """Tier 1: materialized incremental fixpoint for a disjunction-free query.
-
-    Constraints (empty-headed rules) are checked against the materialized
-    minimal model at query time: rule bodies are positive, so a constraint
-    body satisfied in the least fixpoint is satisfied in *every* model, in
-    which case no model exists and every tuple over the active domain is
-    vacuously certain (the same convention as the SAT tier).
-    """
-
-    def __init__(self, plan: QueryPlan, instance: Instance | None = None) -> None:
-        self.plan = plan
-        self.program = plan.program
-        # Constraints of the program the tier actually executes: a semantic
-        # canonical-datalog rewriting has none (template incompatibilities
-        # are already encoded in its image-set rules).
-        self.constraints = [
-            rule
-            for rule in plan.execution_program.rules
-            if rule.is_constraint()
-        ]
-        self.fixpoint = IncrementalFixpoint(fixpoint_program(plan), instance=instance)
-
-    def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
-        self.fixpoint.insert(delta)
-        return 0
-
-    def delete(self, removed: Iterable[Fact]) -> None:
-        self.fixpoint.delete(removed)
-
-    def is_consistent(self, instance: Instance) -> bool:
-        return not any(
-            constraint_fires(rule, self.fixpoint.fixpoint)
-            for rule in self.constraints
-        )
-
-    def certain_answers(self, instance: Instance) -> frozenset[tuple]:
-        if not self.is_consistent(instance):
-            return vacuous_answers(instance, self.program.arity)
-        return self.fixpoint.goal_answers()
-
-    def decide_batch(
-        self, instance: Instance, candidates: Sequence[tuple]
-    ) -> dict[tuple, bool]:
-        if not self.is_consistent(instance):
-            return vacuous_decisions(instance, candidates)
-        answers = self.fixpoint.goal_answers()
-        return {candidate: candidate in answers for candidate in candidates}
-
-    def is_certain(self, instance: Instance, answer: tuple) -> bool:
-        return self.decide_batch(instance, [answer])[answer]
-
-
-class _UcqState:
-    """Tier 0: stateless UCQ evaluation against the live instance indexes.
-
-    Nothing is maintained under updates — the unfolded goal and constraint
-    UCQs are joined against the session's current instance on every query,
-    which is exactly the FO-rewritability promise of the paper's Table 1
-    examples made operational.
-    """
-
-    def __init__(self, plan: QueryPlan) -> None:
-        assert plan.unfolding is not None
-        self.plan = plan
-        self.program = plan.program
-        self.unfolding = plan.unfolding
-
-    def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
-        return 0  # nothing to maintain
-
-    def delete(self, removed: Iterable[Fact]) -> None:
-        pass  # nothing to maintain
-
-    def is_consistent(self, instance: Instance) -> bool:
-        return unfolding_consistent(self.unfolding, instance)
-
-    def certain_answers(self, instance: Instance) -> frozenset[tuple]:
-        return ucq_certain_answers(self.plan, instance)
-
-    def decide_batch(
-        self, instance: Instance, candidates: Sequence[tuple]
-    ) -> dict[tuple, bool]:
-        if not self.is_consistent(instance):
-            return vacuous_decisions(instance, candidates)
-        return {
-            candidate: ucq_candidate_certain(self.unfolding, instance, candidate)
-            for candidate in candidates
-        }
-
-    def is_certain(self, instance: Instance, answer: tuple) -> bool:
-        return self.decide_batch(instance, [answer])[answer]
-
-
-def evaluate_plan_at(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
-    """Certain answers of a plan on an arbitrary frozen instance, statelessly.
-
-    Tier 0 joins the unfolded UCQ against the instance's indexes; tier 1
-    materializes a fresh fixpoint; tier 2 grounds from scratch.  No
-    session state is touched, so this is safe against *any* instance —
-    in particular a snapshot older than the live one.
-    """
-    if plan.tier == TIER_REWRITE:
-        return _UcqState(plan).certain_answers(instance)
-    if plan.tier == TIER_FIXPOINT:
-        return _FixpointState(plan, instance=instance).certain_answers(instance)
-    from ..engine.grounder import ground_program
-
-    return ground_program(plan.program, instance).certain_answers()
+    def certain_among(self, instance: Instance, candidates: list[tuple]) -> list[tuple]:
+        # consistent() just ran the assumption-free solve that screens them
+        return screen_candidates(self.solver, self.program.goal_relation, candidates)
 
 
 class SessionSnapshot:
@@ -265,11 +205,11 @@ class SessionSnapshot:
     ``Instance`` is immutable and sessions swap in *new* instances on
     every epoch, so a snapshot is just a pinned reference: it never
     changes under the reader no matter how many flushes advance the live
-    session.  Reads take the warm path (the session's own tier state)
+    session.  Reads take the warm path (the session's own tier executor)
     while the session still serves the pinned instance; once the session
     has moved on, answers are recomputed statelessly against the pinned
-    instance via :func:`evaluate_plan_at` and memoized, so concurrent
-    readers of a superseded version pay the recompute once.
+    instance via :func:`~repro.planner.execute_plan` and memoized, so
+    concurrent readers of a superseded version pay the recompute once.
     """
 
     def __init__(
@@ -296,24 +236,11 @@ class SessionSnapshot:
         return session is not None and session.instance is self.instance
 
     def plan(self, name: str | None = None) -> QueryPlan:
-        return self._plans[self._resolve_name(name)]
-
-    def _resolve_name(self, name: str | None) -> str:
-        if name is None:
-            if len(self._plans) == 1:
-                return next(iter(self._plans))
-            raise ValueError(
-                f"snapshot serves {sorted(self._plans)}; pass a query name"
-            )
-        if name not in self._plans:
-            raise KeyError(
-                f"unknown query {name!r}; snapshot serves {sorted(self._plans)}"
-            )
-        return name
+        return self._plans[_resolve_query(self._plans, name, "snapshot")]
 
     def certain_answers(self, name: str | None = None) -> frozenset[tuple]:
         """Certain answers of the (named) query at this snapshot's version."""
-        resolved = self._resolve_name(name)
+        resolved = _resolve_query(self._plans, name, "snapshot")
         answers = self._answers.get(resolved)
         if answers is not None:
             return answers
@@ -323,7 +250,7 @@ class SessionSnapshot:
             tel = _telemetry.ACTIVE
             if tel is not None:
                 tel.count("session.snapshot_recomputes")
-            answers = evaluate_plan_at(self._plans[resolved], self.instance)
+            answers = execute_plan(self._plans[resolved], self.instance)
         self._answers[resolved] = answers
         return answers
 
@@ -475,9 +402,7 @@ class ObdaSession:
     syntactic tier-2 programs: by default a compiled-but-rewritable query
     is served by the constructed rewriting on tier 0/1.  ``adaptive``
     (``True`` or an :class:`~repro.planner.AdaptivePolicy`) turns on live
-    re-planning between the sound tiers as the observed mix shifts.  The
-    old ``force_tier=`` / ``semantic=`` / ``semantic_budget=`` / ``check=``
-    keywords remain as deprecated aliases.
+    re-planning between the sound tiers as the observed mix shifts.
 
     ``check`` (policy field) runs the static analyzer
     (:mod:`repro.analysis`) over every compiled program before any solver
@@ -492,36 +417,15 @@ class ObdaSession:
         workload,
         initial_facts: Iterable[Fact] = (),
         policy: PlanPolicy | None = None,
-        *,
-        force_tier=_UNSET,
-        semantic=_UNSET,
-        semantic_budget=_UNSET,
-        check=_UNSET,
     ) -> None:
-        policy = resolve_policy(
-            policy,
-            {
-                "force_tier": force_tier,
-                "semantic": semantic,
-                "semantic_budget": semantic_budget,
-                "check": check,
-            },
-            where="ObdaSession",
-        )
+        if policy is None:
+            policy = PlanPolicy()
         self.policy = policy
-        if isinstance(workload, Mapping):
-            entries = dict(workload)
-        else:
-            entries = {DEFAULT_QUERY: workload}
-        if not entries:
+        # A strict session refuses a broken program with zero grounding or
+        # SAT work done.
+        compiled = compile_workload(workload, policy.resolved_check("warn"))
+        if not compiled:
             raise ValueError("a session needs at least one query")
-        compiled = {name: _compile(entry) for name, entry in entries.items()}
-        resolved_check = policy.resolved_check("warn")
-        for name, program in compiled.items():
-            # Vet the whole workload before building any solver state: a
-            # strict session refuses a broken program with zero grounding
-            # or SAT work done.
-            vet_program(program, resolved_check, label=name)
         self._instance = Instance([])
         self.stats = SessionStats()
         self._adaptive = policy.resolved_adaptive()
@@ -536,12 +440,9 @@ class ObdaSession:
         #: keyed query name -> tier; transplanted on swap-back so a
         #: returning tier does not recompile what it already knew.
         self._warm: dict[str, dict[int, object]] = {name: {} for name in compiled}
-        self._states: dict[str, _SatState | _FixpointState | _UcqState] = {}
+        self._states: dict[str, TierExecutor] = {}
         for name, program in compiled.items():
-            if policy.tier is not None:
-                plan = plan_for_tier(program, policy.tier, caps=policy.unfold_caps)
-            else:
-                plan = plan_program(program, policy.planning_view())
+            plan = plan_program(program, policy.planning_view())
             if self._adaptive is not None:
                 candidates = candidate_plans(program, plan)
                 if len(candidates) > 1:
@@ -620,67 +521,30 @@ class ObdaSession:
         adaptive["replans"] = replans
         return {"schema": EXPLAIN_SCHEMA, "queries": queries, "adaptive": adaptive}
 
-    def _resolve_name(self, name: str | None) -> str:
-        if name is None:
-            if len(self._states) == 1:
-                return next(iter(self._states))
-            raise ValueError(
-                f"session serves {sorted(self._states)}; pass a query name"
-            )
-        if name not in self._states:
-            raise KeyError(
-                f"unknown query {name!r}; session serves {sorted(self._states)}"
-            )
-        return name
-
-    def _state(self, name: str | None) -> "_SatState | _FixpointState | _UcqState":
-        return self._states[self._resolve_name(name)]
+    def _state(self, name: str | None) -> TierExecutor:
+        return self._states[_resolve_query(self._states, name, "session")]
 
     # -- serving-state lifecycle ----------------------------------------------
 
-    def _build_state(
-        self, plan: QueryPlan, warm=None
-    ) -> "_SatState | _FixpointState | _UcqState":
-        """Fresh serving state for a plan, loaded from the current instance.
+    def _build_state(self, plan: QueryPlan, warm=None) -> TierExecutor:
+        """Fresh tier executor for a plan, loaded from the current instance.
 
-        ``warm`` is a per-tier join-plan cache harvested by
-        :meth:`_harvest_warm` from a retired state of the *same* plan
-        object; transplanting it means a swap-back recompiles nothing (the
-        caches are identity-guarded on the session's shared interner, so a
-        stale transplant degrades to a recompile, never to wrong plans).
+        ``warm`` is the join-plan cache :meth:`_harvest_warm` banked from a
+        retired executor of the *same* plan object; transplanting it means
+        a swap-back recompiles nothing (the caches are identity-guarded on
+        the session's shared interner, so a stale transplant degrades to a
+        recompile, never to wrong plans).
         """
         if plan.tier == TIER_REWRITE:
-            return _UcqState(plan)
-        if plan.tier == TIER_FIXPOINT:
-            state = _FixpointState(plan, instance=self._instance)
-            if warm is not None:
-                state.fixpoint._rederive_plans = warm[0]
-                state.fixpoint._rederive_interner = warm[1]
-            return state
-        state = _SatState(plan)
-        if warm is not None:
-            for rule_state, (plans, interner) in zip(state.grounder._rules, warm):
-                rule_state.plans = plans
-                rule_state.plans_interner = interner
-        facts = sorted(self._instance.facts, key=str)
-        if facts:
-            state.insert(Instance([]), Instance(facts), self._instance)
-        return state
+            return UcqExecutor(plan)
+        executor = FixpointExecutor if plan.tier == TIER_FIXPOINT else SatExecutor
+        return executor(plan, self._instance, warm)
 
-    def _harvest_warm(self, name: str, state) -> None:
-        """Bank a retiring state's compiled join plans under its tier."""
-        if isinstance(state, _SatState):
-            self._warm[name][state.plan.tier] = [
-                (rule.plans, rule.plans_interner)
-                for rule in state.grounder._rules
-            ]
-        elif isinstance(state, _FixpointState):
-            fixpoint = state.fixpoint
-            if fixpoint._rederive_plans is not None:
-                self._warm[name][state.plan.tier] = (
-                    fixpoint._rederive_plans,
-                    fixpoint._rederive_interner,
-                )
+    def _harvest_warm(self, name: str, state: TierExecutor) -> None:
+        """Bank a retiring executor's compiled join plans under its tier."""
+        warm = state.warm_caches()
+        if warm is not None:
+            self._warm[name][state.tier] = warm
 
     def _maybe_replan(self) -> None:
         """Let every adaptive controller react to the event just recorded.
@@ -818,36 +682,34 @@ class ObdaSession:
     def is_consistent(self, name: str | None = None) -> bool:
         """Does any model extend the current data for the (named) query?
 
-        ``False`` means every tuple over the active domain is vacuously
-        certain.  SAT-backed queries ask the warm solver; the SAT-free
-        tiers check their (unfolded) constraints against the current
-        instance or the materialized minimal model.
+        ``False`` means the no-model rule answers: every tuple of the
+        query's arity over the active domain is certain.  SAT-backed
+        queries ask the warm solver; the SAT-free tiers check their
+        (unfolded) constraints against the current instance or the
+        materialized minimal model.
         """
-        return self._state(name).is_consistent(self._instance)
+        return self._state(name).consistent(self._instance)
+
+    def _query(self, name: str | None, kind: str, ask, **attrs):
+        """One timed, traced read against the (named) query's executor."""
+        resolved = _resolve_query(self._states, name, "session")
+        start = _telemetry.now()
+        with _telemetry.maybe_span("session.query", query=resolved, kind=kind, **attrs):
+            result = ask(self._states[resolved])
+        self._record_query(resolved, _telemetry.now() - start)
+        return result
 
     def certain_answers(self, name: str | None = None) -> frozenset[tuple]:
         """The certain answers of the (named) query on the current instance."""
-        resolved = self._resolve_name(name)
-        start = _telemetry.now()
-        with _telemetry.maybe_span(
-            "session.query", query=resolved, kind="certain_answers"
-        ):
-            answers = self._states[resolved].certain_answers(self._instance)
-        self._record_query(resolved, _telemetry.now() - start)
-        return answers
+        return self._query(
+            name, "certain_answers", lambda state: state.certain_answers(self._instance)
+        )
 
     def is_certain(self, answer: Sequence = (), name: str | None = None) -> bool:
         """Does the tuple belong to the certain answers right now?"""
-        resolved = self._resolve_name(name)
-        start = _telemetry.now()
-        with _telemetry.maybe_span(
-            "session.query", query=resolved, kind="is_certain"
-        ):
-            result = self._states[resolved].is_certain(
-                self._instance, tuple(answer)
-            )
-        self._record_query(resolved, _telemetry.now() - start)
-        return result
+        return self._query(
+            name, "is_certain", lambda state: state.is_certain(self._instance, answer)
+        )
 
     def answer_batch(
         self,
@@ -855,15 +717,13 @@ class ObdaSession:
         name: str | None = None,
     ) -> dict[tuple, bool]:
         """Decide a batch of candidate tuples in one pass over the warm state."""
-        resolved = self._resolve_name(name)
         batch = [tuple(candidate) for candidate in candidates]
-        start = _telemetry.now()
-        with _telemetry.maybe_span(
-            "session.query", query=resolved, kind="answer_batch", batch=len(batch)
-        ):
-            decided = self._states[resolved].decide_batch(self._instance, batch)
-        self._record_query(resolved, _telemetry.now() - start)
-        return decided
+        return self._query(
+            name,
+            "answer_batch",
+            lambda state: state.decide(self._instance, batch),
+            batch=len(batch),
+        )
 
     def answer_all(self) -> dict[str, frozenset[tuple]]:
         """Certain answers of every query in the workload."""
@@ -899,7 +759,7 @@ class ObdaSession:
         with _telemetry.maybe_span(
             "session.compact", facts=len(self._instance.facts)
         ):
-            rebuilt: dict[str, _SatState | _FixpointState | _UcqState] = {}
+            rebuilt: dict[str, TierExecutor] = {}
             for name, state in self._states.items():
                 self._harvest_warm(name, state)
                 rebuilt[name] = self._build_state(

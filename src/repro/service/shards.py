@@ -46,20 +46,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from ..analysis import (
-    ProgramAnalysisError,
-    shardability_diagnostics,
-    vet_program,
-)
+from ..analysis import ProgramAnalysisError, shardability_diagnostics
 from ..core.instance import Fact, Instance
 from ..datalog.ddlog import DisjunctiveDatalogProgram
+from ..engine.grounder import no_model_answers
 from ..obs import telemetry as _telemetry
-from ..planner.execute import vacuous_answers, vacuous_decisions
-from ..planner.policy import _UNSET, PlanPolicy, resolve_policy
+from ..planner.policy import PlanPolicy
 from .explain import EXPLAIN_SCHEMA
-from .session import DEFAULT_QUERY, ObdaSession, SessionSnapshot, _compile
+from .session import ObdaSession, SessionSnapshot, compile_workload
 
 __all__ = [
     "ShardedObdaSession",
@@ -139,33 +135,15 @@ class ShardedObdaSession:
         shards: int = 2,
         initial_facts: Iterable[Fact] = (),
         policy: PlanPolicy | None = None,
-        *,
-        semantic=_UNSET,
-        semantic_budget=_UNSET,
-        check=_UNSET,
     ) -> None:
-        policy = resolve_policy(
-            policy,
-            {
-                "semantic": semantic,
-                "semantic_budget": semantic_budget,
-                "check": check,
-            },
-            where="ShardedObdaSession",
-        )
+        if policy is None:
+            policy = PlanPolicy()
         self.policy = policy
         if shards < 1:
             raise ValueError("need at least one shard")
-        if isinstance(workload, Mapping):
-            entries = dict(workload)
-        else:
-            entries = {DEFAULT_QUERY: workload}
         # Compile once; shards share the compiled program objects — and,
         # through the per-program plan cache, one semantic analysis.
-        compiled = {name: _compile(entry) for name, entry in entries.items()}
-        resolved_check = policy.resolved_check("warn")
-        for name, program in compiled.items():
-            vet_program(program, resolved_check, label=name)
+        compiled = compile_workload(workload, policy.resolved_check("warn"))
         for name, program in compiled.items():
             # Shardability is enforced regardless of ``check``: serving an
             # unshardable program would return *wrong* answers, not just
@@ -593,7 +571,9 @@ class ShardedObdaSession:
     def certain_answers(self, name: str | None = None) -> frozenset[tuple]:
         """The certain answers of the (named) query on the union instance."""
         if self._vacuous(name):
-            return vacuous_answers(self.instance, self.program(name).arity)
+            return no_model_answers(
+                self.instance.active_domain, self.program(name).arity
+            )
         merged: set[tuple] = set()
         for session in self._sessions:
             merged |= session.certain_answers(name)
@@ -612,7 +592,10 @@ class ShardedObdaSession:
         """
         batch = [tuple(candidate) for candidate in candidates]
         if self._vacuous(name):
-            return vacuous_decisions(self.instance, batch)
+            certain = no_model_answers(
+                self.instance.active_domain, self.program(name).arity, batch
+            )
+            return {candidate: candidate in certain for candidate in batch}
         decided: dict[tuple, bool] = {}
         routed: dict[int, list[tuple]] = {}
         for candidate in batch:

@@ -3,8 +3,8 @@
 Covers the PR's two faces end to end:
 
 * **PlanPolicy** — one frozen object for every planner knob, accepted by
-  every public entry point, with the legacy keywords surviving as
-  deprecated aliases whose behavior is *identical* (equivalence-tested);
+  every public entry point as the only way to pass those knobs (the old
+  per-call keywords are a ``TypeError``);
 * **adaptive re-planning** — sessions that watch their rolling
   read/insert/delete mix and hot-swap serving tiers, cross-validated on
   randomized mix-flip streams against every sound forced tier (including
@@ -46,7 +46,6 @@ from repro.service import (
     ShardedObdaSession,
     validate_explain,
 )
-from repro.service.session import _FixpointState, _SatState
 
 HAS_PARENT = RelationSymbol("HasParent", 2)
 PREDISPOSITION = RelationSymbol("HereditaryPredisposition", 1)
@@ -108,7 +107,7 @@ def mix_flip_stream(session, universe, rng, queries_per_phase=20, churn=30):
 
 
 # ---------------------------------------------------------------------------
-# PlanPolicy: resolution, validation, legacy-alias equivalence
+# PlanPolicy: resolution, validation, removed legacy keywords
 # ---------------------------------------------------------------------------
 
 
@@ -124,33 +123,21 @@ def test_adaptive_policy_validates_knobs():
     assert PlanPolicy(adaptive=custom).resolved_adaptive() is custom
 
 
-def test_legacy_kwargs_warn_and_match_policy_behavior():
+def test_removed_legacy_keywords_raise_type_error():
+    """PlanPolicy is the only way in: the old per-call keywords are gone."""
     program = datalog_rewritable_compiled()
-    instance = Instance(ancestry_universe(6))
-    with pytest.warns(DeprecationWarning, match="force_tier"):
-        legacy = evaluate(program, instance, force_tier=TIER_GROUND_SAT)
-    modern = evaluate(program, instance, PlanPolicy(tier=TIER_GROUND_SAT))
-    assert legacy == modern
-
-    with pytest.warns(DeprecationWarning, match="ObdaSession"):
-        legacy_session = ObdaSession(program, force_tier=TIER_GROUND_SAT)
-    modern_session = ObdaSession(program, policy=PlanPolicy(tier=TIER_GROUND_SAT))
-    facts = ancestry_universe(6)
-    legacy_session.insert_facts(facts)
-    modern_session.insert_facts(facts)
-    assert legacy_session.certain_answers() == modern_session.certain_answers()
-    assert (
-        legacy_session.explain()["queries"]["q"]["tier"]
-        == modern_session.explain()["queries"]["q"]["tier"]
-        == TIER_GROUND_SAT
-    )
+    with pytest.raises(TypeError):
+        ObdaSession(program, force_tier=2)
+    with pytest.raises(TypeError):
+        evaluate(program, Instance([]), force_tier=2)
 
 
 def test_policy_and_legacy_kwargs_together_is_an_error():
+    """Mixing ``policy=`` with a removed keyword is still rejected outright."""
     program = datalog_rewritable_compiled()
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="check"):
         ObdaSession(program, policy=PlanPolicy(), check="off")
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="force_tier"):
         evaluate(program, Instance([]), PlanPolicy(), force_tier=2)
 
 
@@ -212,7 +199,7 @@ def test_forced_tier_pins_the_session_with_rationale():
     assert report["adaptive"]["enabled"] is False
     assert report["adaptive"]["replans"] == []
     assert "forced" in report["adaptive"]["reason"]
-    assert isinstance(session._state(None), _SatState)  # never swapped
+    assert session._state(None).tier == TIER_GROUND_SAT  # never swapped
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +357,7 @@ def test_warm_plan_caches_survive_swaps():
     session = ObdaSession(program, policy=PlanPolicy(tier=TIER_GROUND_SAT))
     session.insert_facts(ancestry_universe(6))
     state = session._state(None)
-    assert isinstance(state, _SatState)
+    assert state.tier == TIER_GROUND_SAT
     before = [rule.plans for rule in state.grounder._rules]
     assert any(plans is not None for plans in before)
     session.compact()
@@ -384,7 +371,7 @@ def test_warm_plan_caches_survive_swaps():
     fix_session.insert_facts(ancestry_universe(6))
     fix_session.delete_facts([Fact(PREDISPOSITION, ("g3",))])  # compiles DRed plans
     fix_state = fix_session._state(None)
-    assert isinstance(fix_state, _FixpointState)
+    assert fix_state.tier == TIER_FIXPOINT
     rederive = fix_state.fixpoint._rederive_plans
     assert rederive is not None
     fix_session.compact()

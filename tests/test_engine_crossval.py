@@ -37,6 +37,7 @@ from repro.engine import (
     join_assignments,
     solver_for_clauses,
 )
+from repro.planner import PlanPolicy
 
 A = RelationSymbol("A", 1)
 B = RelationSymbol("B", 1)
@@ -283,7 +284,7 @@ def test_parallel_evaluate_matches_serial(seed):
     serial = evaluate(program, instance)
     for workers, chunk_size in ((1, 1), (2, 1), (2, 2), (3, None)):
         got = evaluate(
-            program, instance, parallel=workers, chunk_size=chunk_size
+            program, instance, PlanPolicy(parallel=workers, chunk_size=chunk_size)
         )
         assert got == serial, (workers, chunk_size)
 

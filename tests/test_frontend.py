@@ -23,6 +23,7 @@ from repro.obs.telemetry import Reservoir, enabled
 from repro.planner import (
     PlanCache,
     clear_plan_artifacts,
+    execute_plan,
     plan_program,
     program_identity_key,
 )
@@ -34,7 +35,6 @@ from repro.service import (
     FrontendWriteFailed,
     ObdaSession,
     ShardedObdaSession,
-    evaluate_plan_at,
     from_scratch_answers,
     replay_commit_log,
     validate_explain,
@@ -522,16 +522,16 @@ def test_sharded_session_snapshot_isolation():
     assert before == expected
 
 
-def test_evaluate_plan_at_is_stateless_per_tier():
+def test_execute_plan_is_stateless_per_tier():
     instance = Instance([fact for fact in _universe(4)])
     for maker in (_conj_program, _reach_program, _disjunctive_program):
         program = maker()
         plan = plan_program(program)
         expected = ground_program(program, instance).certain_answers()
-        assert evaluate_plan_at(plan, instance) == expected
+        assert execute_plan(plan, instance) == expected
         # evaluating an older instance later must not see newer facts
         smaller = Instance([])
-        assert evaluate_plan_at(plan, smaller) == ground_program(
+        assert execute_plan(plan, smaller) == ground_program(
             program, smaller
         ).certain_answers()
 
@@ -604,7 +604,7 @@ def test_plan_cache_lru_eviction_clears_artifacts():
     instance = Instance(_universe(4))
     replanned = plan_program(programs[1])
     assert replanned.tier == 1
-    assert evaluate_plan_at(replanned, instance) == ground_program(
+    assert execute_plan(replanned, instance) == ground_program(
         programs[1], instance
     ).certain_answers()
 

@@ -30,6 +30,7 @@ from repro.planner import (
     TIER_FIXPOINT,
     TIER_GROUND_SAT,
     TIER_REWRITE,
+    PlanPolicy,
     analyse_program,
     auto_workers,
     estimate_cost,
@@ -38,10 +39,12 @@ from repro.planner import (
     unfold_to_ucq,
 )
 from repro.service import ObdaSession, ShardedObdaSession
-from repro.service.session import _FixpointState, _SatState, _UcqState
 from repro.translations.csp_templates import csp_to_mddlog
 from repro.workloads.csp_zoo import three_colourability_template
 from repro.workloads.medical import example_2_1_omq, patient_instance
+
+#: Every query pinned to the ground+CDCL tier: the reference route.
+FORCE_SAT = PlanPolicy(tier=TIER_GROUND_SAT)
 
 A = RelationSymbol("A", 1)
 B = RelationSymbol("B", 1)
@@ -189,7 +192,7 @@ def test_unfolding_handles_idb_chains_and_edb_leaves():
     instance = Instance([Fact(A, (1,)), Fact(Q, (2,)), Fact(EDGE, (1, 3)), Fact(EDGE, (2, 2))])
     assert (
         evaluate(program, instance)
-        == evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+        == evaluate(program, instance, policy=FORCE_SAT)
         == frozenset({(1,), (2,)})
     )
 
@@ -209,7 +212,7 @@ def test_unfolding_drops_branches_on_constant_clash():
     instance = Instance([Fact(A, (9,)), Fact(EDGE, ("c", "d"))])
     assert (
         evaluate(program, instance)
-        == evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+        == evaluate(program, instance, policy=FORCE_SAT)
         == frozenset({("c",)})
     )
     clashing = DisjunctiveDatalogProgram(
@@ -221,7 +224,7 @@ def test_unfolding_drops_branches_on_constant_clash():
     unfolded = unfold_to_ucq(clashing)
     assert unfolded is not None and unfolded.goal_disjuncts == ()
     assert evaluate(clashing, instance) == evaluate(
-        clashing, instance, force_tier=TIER_GROUND_SAT
+        clashing, instance, policy=FORCE_SAT
     )
 
 
@@ -246,7 +249,7 @@ def test_unfolding_unifies_repeated_head_variables_and_constants():
     )
     plan = plan_program(program)
     assert plan.tier == TIER_REWRITE
-    expected = evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+    expected = evaluate(program, instance, policy=FORCE_SAT)
     assert evaluate(program, instance) == expected == frozenset({(1,), (2,)})
 
 
@@ -273,7 +276,7 @@ def test_adom_only_variables_and_boolean_goals():
     instance = Instance([Fact(A, (1,))])
     assert (
         evaluate(program, instance)
-        == evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+        == evaluate(program, instance, policy=FORCE_SAT)
         == frozenset({()})
     )
     unary = DisjunctiveDatalogProgram(
@@ -281,7 +284,7 @@ def test_adom_only_variables_and_boolean_goals():
     )
     assert plan_program(unary).tier == TIER_REWRITE
     instance = Instance([Fact(A, (1,)), Fact(EDGE, (2, 3))])
-    expected = evaluate(unary, instance, force_tier=TIER_GROUND_SAT)
+    expected = evaluate(unary, instance, policy=FORCE_SAT)
     assert evaluate(unary, instance) == expected
     assert expected == frozenset({(1,), (2,), (3,)})
 
@@ -314,7 +317,7 @@ def test_forcing_tier0_on_recursive_programs_raises():
     assert plan_program(pure_cycle).tier == TIER_FIXPOINT
     instance = Instance([Fact(A, (1,))])
     assert evaluate(pure_cycle, instance) == evaluate(
-        pure_cycle, instance, force_tier=TIER_GROUND_SAT
+        pure_cycle, instance, policy=FORCE_SAT
     )
 
 
@@ -410,7 +413,7 @@ def test_forced_tiers_agree_with_model_enumeration(seed):
             plan_for_tier(program, tier)
         except ValueError:
             continue
-        assert evaluate(program, instance, force_tier=tier) == expected, tier
+        assert evaluate(program, instance, PlanPolicy(tier=tier)) == expected, tier
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -419,14 +422,14 @@ def test_forced_tiers_agree_on_larger_instances(seed):
     goal_arity = rng.choice([0, 1])
     program = _random_horn_program(rng, goal_arity)
     instance = _random_instance(rng, list(range(1, 6)))
-    reference = evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+    reference = evaluate(program, instance, policy=FORCE_SAT)
     assert evaluate(program, instance) == reference
     for tier in (TIER_REWRITE, TIER_FIXPOINT):
         try:
             plan_for_tier(program, tier)
         except ValueError:
             continue
-        assert evaluate(program, instance, force_tier=tier) == reference, tier
+        assert evaluate(program, instance, PlanPolicy(tier=tier)) == reference, tier
 
 
 def test_vacuous_certainty_parity_across_tiers():
@@ -441,9 +444,9 @@ def test_vacuous_certainty_parity_across_tiers():
     instance = Instance([Fact(A, (1,)), Fact(EDGE, (2, 3))])
     expected = frozenset({(1,), (2,), (3,)})
     for tier in (TIER_REWRITE, TIER_FIXPOINT, TIER_GROUND_SAT):
-        assert evaluate(program, instance, force_tier=tier) == expected, tier
+        assert evaluate(program, instance, PlanPolicy(tier=tier)) == expected, tier
     for tier in (None, TIER_REWRITE, TIER_FIXPOINT, TIER_GROUND_SAT):
-        session = ObdaSession(program, force_tier=tier)
+        session = ObdaSession(program, policy=PlanPolicy(tier=tier))
         session.insert_facts(instance.facts)
         assert not session.is_consistent()
         assert session.certain_answers() == expected, tier
@@ -464,9 +467,9 @@ def test_session_states_match_plan_tiers():
             "sat": csp_to_mddlog(three_colourability_template()),
         }
     )
-    assert isinstance(session._state("ucq"), _UcqState)
-    assert isinstance(session._state("fixpoint"), _FixpointState)
-    assert isinstance(session._state("sat"), _SatState)
+    assert session._state("ucq").tier == TIER_REWRITE
+    assert session._state("fixpoint").tier == TIER_FIXPOINT
+    assert session._state("sat").tier == TIER_GROUND_SAT
     explain = session.explain()
     assert explain["schema"] == "obda-explain/v2"
     queries = explain["queries"]
@@ -478,11 +481,12 @@ def test_session_states_match_plan_tiers():
 
 def test_session_force_tier_overrides_routing():
     program = _ucq_rewriting_program()
-    session = ObdaSession(program, force_tier=TIER_GROUND_SAT)
-    assert isinstance(session._state(None), _SatState)
+    session = ObdaSession(program, policy=FORCE_SAT)
+    assert session._state(None).tier == TIER_GROUND_SAT
     with pytest.raises(ValueError):
         ObdaSession(
-            csp_to_mddlog(three_colourability_template()), force_tier=TIER_REWRITE
+            csp_to_mddlog(three_colourability_template()),
+            policy=PlanPolicy(tier=TIER_REWRITE),
         )
 
 
@@ -501,7 +505,7 @@ def test_tier0_session_streams_match_from_scratch(seed):
         ]
     )
     session = ObdaSession(program)
-    assert isinstance(session._state(None), _UcqState)
+    assert session._state(None).tier == TIER_REWRITE
     universe = [Fact(A, (e,)) for e in [1, 2, 3]] + [
         Fact(EDGE, (a, b)) for a in [1, 2, 3] for b in [1, 2, 3]
     ]
@@ -588,4 +592,5 @@ def test_serve_omq_workload_sessions_are_planned():
 def test_evaluate_accepts_auto_parallel():
     program = csp_to_mddlog(three_colourability_template())
     instance = Instance([Fact(EDGE, (1, 2)), Fact(EDGE, (2, 3)), Fact(EDGE, (3, 1))])
-    assert evaluate(program, instance, parallel="auto") == evaluate(program, instance)
+    auto = PlanPolicy(parallel="auto")
+    assert evaluate(program, instance, auto) == evaluate(program, instance)

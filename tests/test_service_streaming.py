@@ -17,6 +17,12 @@ from repro.datalog import DisjunctiveDatalogProgram, Rule, adom_atom, goal_atom
 from repro.datalog.plain import DatalogProgram
 from repro.engine.grounder import ground_program
 from repro.omq.certain import compile_to_mddlog
+from repro.planner import (
+    TIER_FIXPOINT,
+    TIER_GROUND_SAT,
+    PlannedMddlogEngine,
+    PlanPolicy,
+)
 from repro.service import (
     IncrementalFixpoint,
     ObdaSession,
@@ -28,7 +34,6 @@ from repro.service import (
     replay,
     shardability_violation,
 )
-from repro.service.session import _FixpointState, _SatState
 from repro.translations.csp_templates import csp_to_mddlog
 from repro.workloads.csp_zoo import two_colourability_template
 from repro.workloads.medical import example_2_1_omq, patient_instance
@@ -52,6 +57,12 @@ def _random_body(rng):
             )
     pool.extend([adom_atom(X), adom_atom(Y)])
     return tuple(rng.sample(pool, rng.randint(1, 3)))
+
+
+#: Generated programs routinely carry dead or subsumed rules (MD003/005/006)
+#: on purpose; the streams exercise them anyway, so their sessions skip the
+#: static analyzer instead of warning.
+GENERATED = PlanPolicy(check="off")
 
 
 def _random_program(rng, goal_arity):
@@ -121,7 +132,7 @@ def _run_stream(rng, session, universe, steps, check_every=1):
 def test_random_streams_match_from_scratch(seed):
     rng = random.Random(seed)
     program = _random_program(rng, rng.choice([0, 1]))
-    session = ObdaSession(program)
+    session = ObdaSession(program, policy=GENERATED)
     _run_stream(rng, session, _fact_universe([1, 2, 3]), steps=18)
 
 
@@ -136,7 +147,7 @@ def test_disjunctive_streams_use_guarded_solver(seed):
     ]
     program = DisjunctiveDatalogProgram(rules)
     session = ObdaSession(program)
-    assert isinstance(session._state(None), _SatState)
+    assert session._state(None).tier == TIER_GROUND_SAT
     _run_stream(rng, session, _fact_universe([1, 2, 3]), steps=20)
 
 
@@ -151,7 +162,7 @@ def test_plain_datalog_streams_use_incremental_fixpoint(seed):
     ]
     program = DisjunctiveDatalogProgram(rules)
     session = ObdaSession(program)
-    assert isinstance(session._state(None), _FixpointState)
+    assert session._state(None).tier == TIER_FIXPOINT
     _run_stream(rng, session, _fact_universe([1, 2, 3, 4]), steps=22)
 
 
@@ -202,7 +213,7 @@ def test_sharded_streams_match_from_scratch(seed):
     rng = random.Random(400 + seed)
     program = _random_shardable_program(rng, rng.choice([0, 1]))
     shards = rng.choice([1, 2, 3])
-    session = ShardedObdaSession(program, shards=shards)
+    session = ShardedObdaSession(program, shards=shards, policy=GENERATED)
     universe = _fact_universe([1, 2, 3, 4])
     live: set = set()
     for step in range(16):
@@ -332,7 +343,7 @@ def test_sharded_inconsistency_is_globally_vacuous():
 def test_sharded_compact_preserves_answers():
     rng = random.Random(77)
     program = _random_shardable_program(rng, 1)
-    session = ShardedObdaSession(program, shards=2)
+    session = ShardedObdaSession(program, shards=2, policy=GENERATED)
     universe = _fact_universe([1, 2, 3])
     session.insert_facts(rng.sample(universe, 8))
     session.delete_facts(rng.sample(sorted(session.instance, key=str), 3))
@@ -530,3 +541,82 @@ def test_inconsistent_data_makes_every_tuple_certain():
     # deleting the offending fact restores consistency
     session.delete_facts([Fact(A, (2,))])
     assert session.certain_answers() == frozenset({(1,)})
+
+
+C = RelationSymbol("C", 1)
+
+
+def _engine_route(tier):
+    def build(program, facts):
+        engine = PlannedMddlogEngine(program, policy=PlanPolicy(tier=tier))
+        instance = Instance(facts)
+        return (
+            lambda answer: engine.is_certain(instance, answer),
+            lambda: engine.certain_answers(instance),
+        )
+
+    return build
+
+
+def _session_route(tier):
+    def build(program, facts):
+        session = ObdaSession(program, facts, policy=PlanPolicy(tier=tier))
+        return session.is_certain, session.certain_answers
+
+    return build
+
+
+def _current_snapshot_route(program, facts):
+    snapshot = ObdaSession(program, facts).snapshot()
+    assert snapshot.is_current
+    return snapshot.is_certain, snapshot.certain_answers
+
+
+def _stale_snapshot_route(program, facts):
+    session = ObdaSession(program, facts)
+    snapshot = session.snapshot()
+    session.delete_facts(facts[:1])
+    session.insert_facts(facts[:1])  # same facts, a newer instance
+    assert not snapshot.is_current
+    return snapshot.is_certain, snapshot.certain_answers
+
+
+def _shards_route(program, facts):
+    session = ShardedObdaSession(program, shards=2, initial_facts=facts)
+    return session.is_certain, session.certain_answers
+
+
+ANSWER_ROUTES = {
+    **{f"engine-tier{tier}": _engine_route(tier) for tier in (0, 1, 2)},
+    **{f"session-tier{tier}": _session_route(tier) for tier in (0, 1, 2)},
+    "snapshot-current": _current_snapshot_route,
+    "snapshot-stale": _stale_snapshot_route,
+    "shards": _shards_route,
+}
+
+
+@pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "no-model"])
+@pytest.mark.parametrize("route", sorted(ANSWER_ROUTES))
+def test_route_agreement_is_certain_matches_certain_answers(route, consistent):
+    """``is_certain(t) == (t in certain_answers())`` on every answer route.
+
+    Certain answers are arity-tuples over the active domain, and when no
+    model exists *every* such tuple is certain — but still nothing else:
+    neither a wrong-arity tuple nor one with a constant outside the data.
+    """
+    program = DisjunctiveDatalogProgram(
+        [
+            Rule((goal_atom(X),), (Atom(A, (X,)),)),
+            Rule((), (Atom(A, (X,)), Atom(C, (X,)))),
+        ]
+    )
+    facts = [Fact(A, ("a",)), Fact(C, ("b",))]
+    if not consistent:
+        facts.append(Fact(C, ("a",)))
+    is_certain, certain_answers = ANSWER_ROUTES[route](program, facts)
+    answers = certain_answers()
+    expected = {("a",)} if consistent else {("a",), ("b",)}
+    assert answers == expected
+    assert answers == ground_program(program, Instance(facts)).certain_answers()
+    for candidate in [("a",), ("b",), ("a", "a"), ("zzz",), ()]:
+        assert is_certain(candidate) == (candidate in answers), candidate

@@ -21,10 +21,10 @@ encapsulated; each is enforced over ``src/`` by CI's static-analysis job::
   the columnar layout is ``core``'s private business.
 * **RL005** — sessions inside ``src/`` are constructed through the
   unified ``PlanPolicy`` object: ``ObdaSession(...)`` /
-  ``ShardedObdaSession(...)`` calls carrying the deprecated legacy
+  ``ShardedObdaSession(...)`` calls carrying the removed per-call
   keywords (``force_tier=``, ``semantic=``, ``semantic_budget=``,
-  ``check=``) are flagged — the aliases exist for *external* callers
-  mid-migration, not for the library itself.
+  ``check=``) are flagged.  The keywords are no longer accepted (such a
+  call is a ``TypeError``); the rule guards against them coming back.
 
 A finding can be waived on its own line with ``# lint: allow(RL00x)``.
 """
@@ -56,7 +56,7 @@ PRIVATE_INSTANCE_ATTRS = frozenset(
 )
 #: Telemetry recorder methods that must sit behind the one-load guard.
 GUARDED_METHODS = frozenset({"count", "record", "event", "span"})
-#: Session constructors covered by RL005 and the keywords they deprecate.
+#: Session constructors covered by RL005 and the keywords it rejects.
 SESSION_CONSTRUCTORS = frozenset({"ObdaSession", "ShardedObdaSession"})
 LEGACY_SESSION_KWARGS = frozenset(
     {"force_tier", "semantic", "semantic_budget", "check"}
