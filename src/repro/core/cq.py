@@ -64,6 +64,30 @@ def vars_(*names: str) -> tuple[Variable, ...]:
     return tuple(Variable(name) for name in names)
 
 
+def canonical_atoms(atoms: Iterable[Atom], numbering: dict[Variable, int]) -> tuple:
+    """Atoms up to variable renaming: variables numbered by first occurrence.
+
+    ``numbering`` is extended in place (pass one dict across several calls
+    to number a whole rule), so afterwards ``list(numbering)`` lists the
+    variables in first-occurrence order.  Repeated variables keep their
+    shared number and constants stay the constant objects themselves
+    (compared by ``__eq__``), so ``R(x, x)``, ``R(x, y)``, ``R(x, c)`` and
+    ``R(x, d)`` all get distinct keys while ``R(x, y)`` and ``R(y, x)``
+    share one.
+    """
+
+    def canon_term(term):
+        if isinstance(term, Variable):
+            return ("v", numbering.setdefault(term, len(numbering)))
+        return ("c", term)
+
+    return tuple(
+        (atom.relation.name, atom.relation.arity)
+        + tuple(canon_term(term) for term in atom.arguments)
+        for atom in atoms
+    )
+
+
 class ConjunctiveQuery:
     """A conjunctive query: existentially quantified conjunction of atoms.
 

@@ -97,27 +97,41 @@ class CompiledRule:
     built.  Plans are interner-independent, so one compiled rule serves
     every store the program ever evaluates — fixpoint rounds, DRed passes,
     session epochs *and* unrelated fresh instances (the cross-validation
-    pattern); only the thin seed/head row builders, which embed constant
-    codes, are re-derived when the store's interner changes (identity
-    guard, single slot).
+    pattern).  The thin seed/head row builders embed constant codes only,
+    so a rule without constants keeps them for good; a rule with constants
+    re-derives them when the store's interner changes (identity guard,
+    single slot).
     """
 
-    __slots__ = ("rule", "_head", "_plans", "_builders_interner", "_builders")
+    __slots__ = (
+        "rule",
+        "_head",
+        "_plans",
+        "_has_constants",
+        "_builders_interner",
+        "_builders",
+    )
 
     def __init__(self, rule: Rule) -> None:
         self.rule = rule
         self._head = rule.head[0] if len(rule.head) == 1 else None
         # per body atom index: the rest-of-body JoinPlan, compiled lazily
         self._plans: list[JoinPlan | None] = [None] * len(rule.body)
+        self._has_constants = any(
+            not isinstance(term, Variable)
+            for atom in (*rule.body, *rule.head)
+            for term in atom.arguments
+        )
         # per body atom index: (plan, seed builder, head builder) for the
         # current interner; rebuilt (cheaply) when the interner changes
+        # and the builders embed constant codes
         self._builders_interner: Interner | None = None
         self._builders: list[tuple | None] = [None] * len(rule.body)
 
     def entry(self, index: int, store) -> tuple:
         """The compiled (plan, seed builder, head builder) of one atom index."""
         interner = store.interner
-        if self._builders_interner is not interner:
+        if self._has_constants and self._builders_interner is not interner:
             self._builders = [None] * len(self.rule.body)
             self._builders_interner = interner
         entry = self._builders[index]

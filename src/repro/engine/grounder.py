@@ -1,10 +1,12 @@
 """Join-planned grounding of disjunctive datalog programs.
 
 :func:`ground_program` grounds a program over ``adom(D)`` exactly once into
-a :class:`GroundProgram`: per rule, the EDB body atoms are satisfied by a
+a :class:`GroundProgram`: the EDB body atoms are satisfied by a
 selectivity-ordered join (:mod:`repro.engine.joins`) instead of a cartesian
-enumeration, remaining variables range over the active domain, and the
-resulting clauses are deduplicated and subsumption-reduced before solving.
+enumeration, run once per distinct EDB body and shared by every rule with
+that body (:class:`GroundLayout`), remaining variables range over the
+active domain, and the resulting clauses are deduplicated and
+subsumption-reduced before solving.
 The ground clause set is then loaded once into a persistent
 :class:`~repro.engine.sat.ClauseSolver`, and every certain-answer query —
 one per candidate tuple — is an assumption-literal ``solve`` against that
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
 
-from ..core.cq import Atom, Variable
+from ..core.cq import Atom, Variable, canonical_atoms
 from ..core.instance import Instance
 from ..obs import telemetry as _telemetry
 from .joins import canonical_key, compile_join, execute_join, join_assignments
@@ -31,6 +33,11 @@ GroundAtom = tuple  # (RelationSymbol, argument tuple)
 # Above this many clauses the quadratic-ish subsumption pass is skipped
 # (plain deduplication always runs).
 _SUBSUMPTION_LIMIT = 20_000
+
+# The grounding layout is cached as an attribute on the program object, so
+# it dies with the program; ``planner.plan.PLAN_ARTIFACT_ATTRS`` lists it
+# for eviction.
+_GROUND_LAYOUT_ATTR = "_ground_layout"
 
 
 def no_model_answers(
@@ -182,33 +189,138 @@ def _free_variable_blocks(
     return ordered, bound_literals
 
 
-def _edb_partials(
-    edb_atoms: list[Atom],
-    instance: Instance,
-    engine: str,
-    plan_cache: dict | None = None,
-    cache_key=None,
-) -> Iterator[dict[Variable, Element]]:
-    """The deduplicated EDB body matches of a rule.
+class _RuleLayout:
+    """One rule's grounding layout, derived once per program.
 
-    The default ``columnar`` engine compiles the atoms once and executes
-    set-at-a-time over interned rows; the executor's batches carry each
-    variable assignment exactly once (its semi-join steps collapse the
-    multiple derivation paths the tuple engine has to dedup by canonical
-    key), and rows decode to constants only here, at the clause boundary.
-    Plans are interner-independent, so ``plan_cache`` (stored on the
-    program object) carries them across groundings of unrelated instances.
+    The body split, the free variables (those no EDB atom binds) with their
+    co-occurrence blocks, and the rule's EDB body *key* up to variable
+    renaming (:func:`~repro.core.cq.canonical_atoms`) together with the
+    rule's variables in the key's first-occurrence order.  Nothing here
+    depends on an instance or an interner.
     """
-    if engine == "columnar":
-        plan = None if plan_cache is None else plan_cache.get(cache_key)
-        if plan is None:
-            plan = compile_join(edb_atoms, instance)
-            if plan_cache is not None:
-                plan_cache[cache_key] = plan
-        yield from plan.assignments(
-            execute_join(plan, instance), instance.interner
+
+    __slots__ = (
+        "edb_atoms",
+        "adom_constants",
+        "free",
+        "blocks",
+        "bound_literals",
+        "body_key",
+        "body_variables",
+        "last_of_body",
+    )
+
+    def __init__(self, rule: Rule, idb_names: frozenset[str], adom_name: str) -> None:
+        edb_atoms, adom_atoms, idb_atoms = _split_body(rule, idb_names, adom_name)
+        self.edb_atoms = edb_atoms
+        # Constant adom atoms are static guards; variable ones are subsumed
+        # by the free-variable enumeration over the domain.
+        self.adom_constants = tuple(
+            atom.arguments[0]
+            for atom in adom_atoms
+            if not isinstance(atom.arguments[0], Variable)
         )
-        return
+        numbering: dict[Variable, int] = {}
+        self.body_key = canonical_atoms(edb_atoms, numbering)
+        self.body_variables = tuple(numbering)
+        # Head variables occur in the body, so the free ones are the adom
+        # and IDB atoms' variables that no EDB atom binds.
+        self.free = sorted(
+            {
+                term
+                for atom in itertools.chain(adom_atoms, idb_atoms)
+                for term in atom.arguments
+                if isinstance(term, Variable) and term not in numbering
+            },
+            key=str,
+        )
+        literals = [(a, False) for a in idb_atoms] + [(a, True) for a in rule.head]
+        if self.free:
+            self.blocks, self.bound_literals = _free_variable_blocks(
+                self.free, literals
+            )
+        else:
+            self.blocks, self.bound_literals = [], literals
+        self.last_of_body = True  # cleared for all but a key's last rule
+
+
+class GroundLayout:
+    """A program's grounding layout: one :class:`_RuleLayout` per rule, in
+    rule order, and the columnar join plan of each distinct EDB body.
+
+    Rules whose EDB bodies agree up to variable renaming — the Theorem 3.3
+    compiles emit thousands of type-incompatibility constraints over a
+    handful of bodies — share one plan, and one grounding executes it once
+    for all of them.  Plans are interner-independent, so the layout (cached
+    on the program object, see :func:`ground_layout`) serves every
+    grounding of every instance.
+    """
+
+    def __init__(self, program: DisjunctiveDatalogProgram) -> None:
+        from ..datalog.ddlog import ADOM, GOAL
+
+        idb_names = frozenset(
+            {sym.name for sym in program.idb_relations} | {GOAL}
+        ) - {ADOM}
+        self.rules = [_RuleLayout(rule, idb_names, ADOM) for rule in program.rules]
+        seen: set[tuple] = set()
+        for layout in reversed(self.rules):
+            if layout.body_key in seen:
+                layout.last_of_body = False
+            seen.add(layout.body_key)
+        self.body_count = len(seen)
+        # body key -> (JoinPlan, per plan slot: the key's variable number)
+        self._plans: dict[tuple, tuple] = {}
+
+    def body_matches(
+        self, layout: _RuleLayout, instance: Instance, shared: dict
+    ) -> Iterator[dict[Variable, Element]]:
+        """The rule's EDB body matches, through its body's shared join.
+
+        The first rule of a body compiles (once per program) and executes
+        (once per grounding) the join, decoding its rows to constant tuples
+        in plan slot order; ``shared`` keeps them for the body's later rules
+        and drops them at its last.  Each rule reads the tuples through its
+        own variables, so renamed-apart bodies map every match correctly.
+        The executor's batches carry each assignment exactly once (its
+        semi-join steps collapse the multiple derivation paths the tuple
+        engine has to dedup by canonical key).
+        """
+        key = layout.body_key
+        compiled = self._plans.get(key)
+        if compiled is None:
+            plan = compile_join(layout.edb_atoms, instance)
+            number = {v: n for n, v in enumerate(layout.body_variables)}
+            compiled = (plan, tuple(number[v] for v in plan.variables))
+            self._plans[key] = compiled
+        plan, slot_numbers = compiled
+        matches = shared.pop(key, None) if layout.last_of_body else shared.get(key)
+        if matches is None:
+            decode = instance.interner.decode_row
+            matches = [decode(row) for row in execute_join(plan, instance)]
+            if not layout.last_of_body:
+                shared[key] = matches
+        variables = tuple(layout.body_variables[n] for n in slot_numbers)
+        for values in matches:
+            yield dict(zip(variables, values))
+
+
+def ground_layout(program: DisjunctiveDatalogProgram) -> GroundLayout:
+    """The program's (cached) :class:`GroundLayout`."""
+    layout = getattr(program, _GROUND_LAYOUT_ATTR, None)
+    if layout is None:
+        layout = GroundLayout(program)
+        try:
+            setattr(program, _GROUND_LAYOUT_ATTR, layout)
+        except AttributeError:  # slotted program types: grounding still works
+            pass
+    return layout
+
+
+def _tuple_partials(
+    edb_atoms: list[Atom], instance: Instance
+) -> Iterator[dict[Variable, Element]]:
+    """The deduplicated EDB body matches of one rule, tuple-at-a-time."""
     seen_partials: set[tuple] = set()
     for partial in join_assignments(edb_atoms, instance):
         # Canonical (variable name, value) dedup key — never repr-based, so
@@ -221,43 +333,21 @@ def _edb_partials(
 
 
 def _rule_clauses(
-    rule: Rule,
-    instance: Instance,
-    idb_names: frozenset[str],
-    adom_name: str,
+    layout: _RuleLayout,
+    partials: Iterable[dict[Variable, Element]],
     domain: Sequence[Element],
     aux_counter: Iterator[int],
-    engine: str = "columnar",
-    plan_cache: dict | None = None,
-    cache_key=None,
 ) -> Iterator[Clause]:
-    edb_atoms, adom_atoms, idb_atoms = _split_body(rule, idb_names, adom_name)
-    # Constant adom atoms are static guards; variable ones are subsumed by the
-    # free-variable enumeration over the domain below.
-    domain_set = instance.active_domain
-    for atom in adom_atoms:
-        term = atom.arguments[0]
-        if not isinstance(term, Variable) and term not in domain_set:
-            return
-    free = sorted(
-        {v for v in rule.variables if not any(v in a.variables for a in edb_atoms)},
-        key=str,
-    )
-    if free and not domain:
-        return
-    literals = [(a, False) for a in idb_atoms] + [(a, True) for a in rule.head]
-    blocks, bound_literals = _free_variable_blocks(free, literals)
+    blocks = layout.blocks
     # Per-block assignment tuples, computed once per rule instead of per join
     # result (the former inner ``domain ** len(free)`` cartesian product).
     block_tuples = [
         list(itertools.product(domain, repeat=len(variables)))
         for variables, _ in blocks
     ]
-    for partial in _edb_partials(
-        edb_atoms, instance, engine, plan_cache, cache_key
-    ):
+    for partial in partials:
         bound_negative, bound_positive = _instantiate_literals(
-            bound_literals, dict(partial)
+            layout.bound_literals, partial
         )
         if bound_negative & bound_positive:
             continue  # every clause of this join result is tautological
@@ -408,17 +498,23 @@ class GroundProgram:
             return False
         return not self.has_model_avoiding([answer])
 
-    def certain_answers(self) -> frozenset[tuple]:
-        """All certain answers, each candidate decided incrementally
-        against the persistent solver (:func:`screen_candidates`)."""
+    def surfaces(self) -> tuple[bool, frozenset[tuple]]:
+        """Whether some model extends the instance, and all certain answers:
+        the assumption-free ``solve()`` that gives the verdict also screens
+        the candidates, the rest each decided incrementally against the
+        persistent solver (:func:`screen_candidates`)."""
         arity = self.program.arity
         if not self.solver.solve():
-            return no_model_answers(self.instance.active_domain, arity)
+            return False, no_model_answers(self.instance.active_domain, arity)
         domain = sorted(self.instance.active_domain, key=repr)
         candidates = itertools.product(domain, repeat=arity)
-        return frozenset(
+        return True, frozenset(
             screen_candidates(self.solver, self.program.goal_relation, candidates)
         )
+
+    def certain_answers(self) -> frozenset[tuple]:
+        """All certain answers (see :meth:`surfaces`)."""
+        return self.surfaces()[1]
 
 
 def ground_program(
@@ -429,54 +525,44 @@ def ground_program(
     """Ground the program over ``adom(D)`` (once) into a :class:`GroundProgram`.
 
     ``engine`` selects the EDB join path: ``"columnar"`` (default) runs the
-    set-at-a-time interned executor, ``"tuple"`` the pre-columnar
-    tuple-at-a-time join — kept as the cross-validation reference and
-    benchmark baseline.
+    set-at-a-time interned executor once per distinct EDB body
+    (:class:`GroundLayout`), ``"tuple"`` the pre-columnar tuple-at-a-time
+    join once per rule — kept as the cross-validation reference and
+    benchmark baseline.  Either way rules emit their clauses in program
+    order.
     """
     if engine not in ("columnar", "tuple"):
         raise ValueError(f"unknown grounding engine: {engine!r}")
-    from ..datalog.ddlog import ADOM, GOAL
-
     domain = sorted(instance.active_domain, key=repr)
-    idb_names = frozenset(
-        {sym.name for sym in program.idb_relations} | {GOAL}
-    ) - {ADOM}
-    # EDB join plans are interner-independent; cache them on the program
-    # object (keyed by rule index) so repeated groundings — the per-epoch
-    # and cross-validation patterns — compile each rule's plan once ever.
-    plan_cache = getattr(program, "_ground_plan_cache", None)
-    if plan_cache is None:
-        plan_cache = {}
-        try:
-            program._ground_plan_cache = plan_cache
-        except AttributeError:  # slotted program types: grounding still works
-            plan_cache = None
+    domain_set = instance.active_domain
+    layout = ground_layout(program)
     with _telemetry.maybe_span(
         "grounder.ground_program",
-        rules=len(program.rules),
+        rules=len(layout.rules),
+        edb_bodies=layout.body_count,
         domain_size=len(domain),
         engine=engine,
     ) as span:
         clauses: list[Clause] = []
         aux_counter = itertools.count()
-        for index, rule in enumerate(program.rules):
-            clauses.extend(
-                _rule_clauses(
-                    rule,
-                    instance,
-                    idb_names,
-                    ADOM,
-                    domain,
-                    aux_counter,
-                    engine,
-                    plan_cache,
-                    index,
-                )
-            )
+        shared: dict[tuple, list] = {}
+        for rule_layout in layout.rules:
+            if (rule_layout.free and not domain) or any(
+                term not in domain_set for term in rule_layout.adom_constants
+            ):
+                if rule_layout.last_of_body:
+                    shared.pop(rule_layout.body_key, None)
+                continue
+            if engine == "columnar":
+                partials = layout.body_matches(rule_layout, instance, shared)
+            else:
+                partials = _tuple_partials(rule_layout.edb_atoms, instance)
+            clauses.extend(_rule_clauses(rule_layout, partials, domain, aux_counter))
         kept = _dedupe_and_subsume(clauses)
         tel = _telemetry.ACTIVE
         if tel is not None:
             tel.count("grounder.clauses_emitted", len(clauses))
             tel.count("grounder.clauses_kept", len(kept))
+            tel.count("grounder.edb_bodies", layout.body_count)
             span.set(clauses_emitted=len(clauses), clauses_kept=len(kept))
         return GroundProgram(program, instance, kept)

@@ -94,10 +94,17 @@ class TierExecutor:
 
     # -- the shared protocol ---------------------------------------------------
 
-    def certain_answers(self, instance: Instance) -> frozenset[tuple]:
+    def surfaces(self, instance: Instance) -> tuple[bool, frozenset[tuple]]:
+        """Both observable surfaces from one evaluation: whether some model
+        extends the data, and the certain answers."""
         if not self.consistent(instance):
-            return no_model_answers(instance.active_domain, self.program.arity)
-        return self.answers(instance)
+            return False, no_model_answers(
+                instance.active_domain, self.program.arity
+            )
+        return True, self.answers(instance)
+
+    def certain_answers(self, instance: Instance) -> frozenset[tuple]:
+        return self.surfaces(instance)[1]
 
     def decide(
         self, instance: Instance, candidates: Sequence[tuple]
@@ -354,18 +361,26 @@ def fixpoint_consistent(plan: QueryPlan, fixpoint: Instance) -> bool:
     )
 
 
-def fixpoint_certain_answers(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
-    """Tier-1 certain answers: least fixpoint + constraint check, no SAT."""
+def fixpoint_surfaces(
+    plan: QueryPlan, instance: Instance
+) -> tuple[bool, frozenset[tuple]]:
+    """Tier-1 consistency verdict and certain answers from one least
+    fixpoint: constraints are checked against it, goal rows read off it."""
     program = plan.execution_program
     fixpoint = fixpoint_program(plan).least_fixpoint(instance)
     if not fixpoint_consistent(plan, fixpoint):
-        return no_model_answers(instance.active_domain, program.arity)
+        return False, no_model_answers(instance.active_domain, program.arity)
     adom = instance.active_domain
-    return frozenset(
+    return True, frozenset(
         row
         for row in fixpoint.tuples(program.goal_relation)
         if all(value in adom for value in row)
     )
+
+
+def fixpoint_certain_answers(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
+    """Tier-1 certain answers: least fixpoint + constraint check, no SAT."""
+    return fixpoint_surfaces(plan, instance)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +412,20 @@ def execute_plan(
             ground, workers=parallel, chunk_size=chunk_size
         )
     return ground.certain_answers()
+
+
+def plan_surfaces(
+    plan: QueryPlan, instance: Instance
+) -> tuple[bool, frozenset[tuple]]:
+    """The plan's consistency verdict and certain answers on one instance,
+    from one evaluation of its tier: one unfolding pass (tier 0), one least
+    fixpoint (tier 1), or one grounding whose verdict ``solve()`` also
+    screens the candidates (tier 2)."""
+    if plan.tier == TIER_REWRITE:
+        return UcqExecutor(plan).surfaces(instance)
+    if plan.tier == TIER_FIXPOINT:
+        return fixpoint_surfaces(plan, instance)
+    return ground_program(plan.program, instance).surfaces()
 
 
 class PlannedMddlogEngine:

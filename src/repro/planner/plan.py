@@ -39,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..core.cq import Variable
+from ..core.cq import Variable, canonical_atoms
 from ..core.instance import Instance
 from ..datalog.ddlog import ADOM, DisjunctiveDatalogProgram
-from ..engine.grounder import _free_variable_blocks, _split_body
+from ..engine.grounder import ground_layout
 from ..engine.joins import _estimated_rows, order_atoms
 from ..engine.parallel import resolve_workers
 from ..obs import telemetry as _telemetry
@@ -410,7 +410,7 @@ _IDENTITY_KEY_ATTR = "_planner_identity_key"
 PLAN_ARTIFACT_ATTRS = (
     _SYNTACTIC_PLANS_ATTR,  # syntactic QueryPlans, keyed by unfold caps
     _SEMANTIC_PLANS_ATTR,  # semantic QueryPlans, keyed by budget
-    "_ground_plan_cache",  # engine/grounder.py per-rule ground plans
+    "_ground_layout",  # engine/grounder.py rule layouts + per-EDB-body plans
     "_columnar_compiled",  # datalog/plain.py compiled columnar rules
     "_analysis_report",  # analysis/checks.py static diagnostics
 )
@@ -419,22 +419,8 @@ PLAN_ARTIFACT_ATTRS = (
 def _canonical_rule(rule) -> tuple:
     """One rule up to variable renaming: vars numbered by first occurrence."""
     numbering: dict = {}
-
-    def canon_term(term):
-        if isinstance(term, Variable):
-            index = numbering.setdefault(term, len(numbering))
-            return ("v", index)
-        return ("c", term)
-
-    def canon_atoms(atoms) -> tuple:
-        return tuple(
-            (atom.relation.name, atom.relation.arity)
-            + tuple(canon_term(term) for term in atom.arguments)
-            for atom in atoms
-        )
-
-    body = canon_atoms(rule.body)
-    head = canon_atoms(rule.head)
+    body = canonical_atoms(rule.body, numbering)
+    head = canonical_atoms(rule.head, numbering)
     return (body, head)
 
 
@@ -593,21 +579,16 @@ def estimate_cost(plan: QueryPlan, instance: Instance) -> CostEstimate:
             join_cost += steps + results * max(
                 float(domain_size) ** len(free_answers), 1.0
             )
-    idb_names = frozenset(
-        {sym.name for sym in program.idb_relations}
-    ) - {ADOM}
+    # One chain cost per distinct EDB body: the grounder joins each once.
+    body_results: dict[tuple, float] = {}
     ground_clauses = 0.0
-    for rule in program.rules:
-        edb_atoms, _adom_atoms, idb_atoms = _split_body(rule, idb_names, ADOM)
-        steps, results = _chain_cost(edb_atoms, instance)
-        bound = {v for atom in edb_atoms for v in atom.variables}
-        free = sorted(
-            {v for v in rule.variables if v not in bound}, key=str
-        )
-        literals = [(a, False) for a in idb_atoms] + [(a, True) for a in rule.head]
-        blocks, _bound_literals = _free_variable_blocks(free, literals)
+    for layout in ground_layout(program).rules:
+        results = body_results.get(layout.body_key)
+        if results is None:
+            results = _chain_cost(layout.edb_atoms, instance)[1]
+            body_results[layout.body_key] = results
         multiplier = sum(
-            float(domain_size) ** len(variables) for variables, _ in blocks
+            float(domain_size) ** len(variables) for variables, _ in layout.blocks
         )
         ground_clauses += results * max(multiplier, 1.0)
     fixpoint_bound = float(

@@ -906,6 +906,12 @@ def cross_validate(
       sessions expose as ``is_consistent`` and what the sharded merge
       escalates on, served by the constructed constraint artifacts.
 
+    Each side is evaluated once per instance
+    (:func:`~repro.planner.execute.plan_surfaces`): the reference grounds
+    once, and the solve that gives its verdict also screens its
+    candidates; the candidate runs one unfolding pass (tier 0) or one
+    least fixpoint (tier 1) for both surfaces.
+
     The schema is extended by one *foreign* unary relation the program
     never mentions, so the family also probes elements that reach the
     active domain (and hence the guess rule and the candidate space)
@@ -915,8 +921,7 @@ def cross_validate(
     and tests can call this with their own plans (and budgets) to
     re-certify a routed rewriting at any scale.
     """
-    from ..datalog.evaluation import has_model_avoiding
-    from .execute import execute_plan
+    from .execute import plan_surfaces
     from .plan import TIER_GROUND_SAT, plan_for_tier
 
     reference_plan = plan_for_tier(program, TIER_GROUND_SAT)
@@ -927,37 +932,23 @@ def cross_validate(
     for data in _validation_family(schema, budget):
         if deadline is not None and checked % 16 == 0:
             deadline.check("cross-validation")
-        expected = execute_plan(reference_plan, data)
-        got = execute_plan(candidate_plan, data)
+        reference_consistent, expected = plan_surfaces(reference_plan, data)
+        consistent, got = plan_surfaces(candidate_plan, data)
         if got != expected:
             raise ValueError(
                 f"rewriting diverges from ground+CDCL on {data!r}: "
                 f"{sorted(got, key=repr)} != {sorted(expected, key=repr)}"
             )
-        consistent = _plan_consistent(candidate_plan, data)
-        if consistent is not None:
-            reference_consistent = has_model_avoiding(program, data, [])
-            if consistent != reference_consistent:
-                raise ValueError(
-                    "constructed consistency test diverges from the solver "
-                    f"on {data!r}: {consistent} != {reference_consistent}"
-                )
+        if consistent != reference_consistent:
+            raise ValueError(
+                "constructed consistency test diverges from the solver "
+                f"on {data!r}: {consistent} != {reference_consistent}"
+            )
         checked += 1
+    tel = _telemetry.ACTIVE
+    if tel is not None:
+        tel.count("planner.semantic.validated_instances", checked)
     return checked
-
-
-def _plan_consistent(plan, data: Instance) -> bool | None:
-    """The candidate plan's consistency verdict (None when not SAT-free)."""
-    from .execute import fixpoint_consistent, fixpoint_program, unfolding_consistent
-    from .plan import TIER_FIXPOINT, TIER_REWRITE
-
-    if plan.tier == TIER_REWRITE and plan.unfolding is not None:
-        return unfolding_consistent(plan.unfolding, data)
-    if plan.tier == TIER_FIXPOINT:
-        return fixpoint_consistent(
-            plan, fixpoint_program(plan).least_fixpoint(data)
-        )
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -608,9 +608,8 @@ def test_columnar_fixpoint_matches_tuple_engine(seed):
     )
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_columnar_grounding_matches_tuple_engine(seed):
-    """Grounding through the batch executor emits the same clause set (after
+def _assert_groundings_agree(program, instance) -> None:
+    """The columnar grounding emits the same clause set (after
     dedup/subsumption) as the tuple-join grounder, and the same answers.
 
     Auxiliary block atoms (:class:`GroundAux`) are numbered in grounding
@@ -619,10 +618,6 @@ def test_columnar_grounding_matches_tuple_engine(seed):
     """
     from repro.engine.grounder import GroundAux
 
-    rng = random.Random(12000 + seed)
-    goal_arity = rng.choice([0, 1])
-    program = _random_program(rng, goal_arity)
-    instance = _random_instance(rng, list(range(1, rng.randint(2, 4))))
     columnar = ground_program(program, instance, engine="columnar")
     reference = ground_program(program, instance, engine="tuple")
 
@@ -643,6 +638,121 @@ def test_columnar_grounding_matches_tuple_engine(seed):
     assert columnar_plain == reference_plain
     assert len(columnar_aux) == len(reference_aux)
     assert columnar.certain_answers() == reference.certain_answers()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_columnar_grounding_matches_tuple_engine(seed):
+    rng = random.Random(12000 + seed)
+    goal_arity = rng.choice([0, 1])
+    program = _random_program(rng, goal_arity)
+    instance = _random_instance(rng, list(range(1, rng.randint(2, 4))))
+    _assert_groundings_agree(program, instance)
+
+
+# EDB bodies over two variables: the first two agree up to renaming (one
+# join serves both), the others differ from them only in a repeated
+# variable, a constant (1 and 2 are also domain elements) or an extra atom.
+_SHARED_BODIES = (
+    lambda u, v: (Atom(EDGE, (u, v)),),
+    lambda u, v: (Atom(EDGE, (v, u)),),
+    lambda u, v: (Atom(EDGE, (u, u)),),
+    lambda u, v: (Atom(EDGE, (u, 1)),),
+    lambda u, v: (Atom(EDGE, (u, 2)),),
+    lambda u, v: (Atom(EDGE, (u, v)), Atom(A, (v,))),
+)
+
+
+def _shared_body_program(
+    rng: random.Random, goal_arity: int
+) -> DisjunctiveDatalogProgram:
+    """Rules whose EDB bodies repeat up to variable renaming."""
+    rules = []
+    for _ in range(rng.randint(4, 8)):
+        u, v, w = rng.sample([X, Y, Variable("z"), Variable("w")], 3)
+        body = list(rng.choice(_SHARED_BODIES)(u, v))
+        head_vars = sorted({t for atom in body for t in atom.variables}, key=str)
+        if rng.random() < 0.5:
+            body.append(Atom(rng.choice(IDB), (rng.choice(head_vars),)))
+        if rng.random() < 0.3:  # a free variable, ranging over adom
+            body.append(adom_atom(w))
+            head_vars.append(w)
+        kind = rng.random()
+        if kind < 0.25:
+            head: tuple[Atom, ...] = ()
+        elif kind < 0.5:
+            head = (
+                (goal_atom(),)
+                if goal_arity == 0
+                else (goal_atom(rng.choice(head_vars)),)
+            )
+        else:
+            head = tuple(
+                Atom(symbol, (rng.choice(head_vars),))
+                for symbol in rng.sample(IDB, rng.randint(1, 2))
+            )
+        rules.append(Rule(head, tuple(body)))
+    if not any(rule.is_goal_rule() for rule in rules):
+        goal_head = (goal_atom(),) if goal_arity == 0 else (goal_atom(X),)
+        rules.append(Rule(goal_head, (Atom(P, (X,)),)))
+    return DisjunctiveDatalogProgram(rules)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_shared_body_grounding_matches_tuple_engine(seed):
+    """One join per distinct EDB body, read through every rule's own
+    variables: the clauses and answers equal the per-rule tuple engine's
+    and the model-enumeration reference."""
+    rng = random.Random(13000 + seed)
+    program = _shared_body_program(rng, rng.choice([0, 1]))
+    instance = _random_instance(rng, list(range(1, rng.randint(3, 5))))
+    _assert_groundings_agree(program, instance)
+    assert ground_program(program, instance).certain_answers() == (
+        _naive_certain_answers(program, instance)
+    )
+
+
+def test_shared_body_keys_keep_repeats_and_constants_apart():
+    """``R(x, y)`` and ``R(y, x)`` share a body; ``R(x, x)``, ``R(x, 1)``
+    and ``R(x, 2)`` each get their own."""
+    from repro.engine.grounder import ground_layout
+
+    rules = [
+        Rule((Atom(P, (u,)),), body(u, v))
+        for body in _SHARED_BODIES[:5]
+        for u, v in ((X, Y), (Y, X))
+    ]
+    rules.append(Rule((goal_atom(X),), (Atom(P, (X,)), Atom(Q, (X,)))))
+    rules.append(Rule((Atom(Q, (X,)),), (Atom(EDGE, (Y, X)),)))
+    program = DisjunctiveDatalogProgram(rules)
+    assert ground_layout(program).body_count == 5  # incl. the IDB-only body
+    instance = Instance(
+        [Fact(EDGE, (1, 2)), Fact(EDGE, (3, 3)), Fact(EDGE, (2, 1)), Fact(A, (4,))]
+    )
+    _assert_groundings_agree(program, instance)
+    assert ground_program(program, instance).certain_answers() == (
+        _naive_certain_answers(program, instance)
+    )
+
+
+def test_compiled_grounding_joins_once_per_distinct_edb_body():
+    """The Theorem 3.3 compile of Example 2.1 has thousands of rules over
+    8 distinct EDB bodies; one grounding executes 8 join plans."""
+    from repro.engine.grounder import ground_layout
+    from repro.obs import enabled
+    from repro.omq.certain import compile_to_mddlog
+    from repro.workloads.medical import example_2_1_omq, patient_instance
+
+    program = compile_to_mddlog(example_2_1_omq())
+    layout = ground_layout(program)
+    assert layout.body_count == 8 < len(program.rules)
+    with enabled() as tel:
+        grounded = ground_program(program, patient_instance())
+    assert tel.counter("join.plans_executed") == 8
+    assert tel.counter("grounder.edb_bodies") == 8
+    (span,) = [s for s in tel.spans if s.name == "grounder.ground_program"]
+    assert span.attributes["edb_bodies"] == 8
+    assert span.attributes["rules"] == len(program.rules)
+    assert grounded.certain_answers() == {("patient1",), ("patient2",)}
 
 
 @pytest.mark.parametrize("seed", range(25))

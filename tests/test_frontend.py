@@ -617,6 +617,18 @@ def test_clear_plan_artifacts_reports_cleared_names():
     assert clear_plan_artifacts(program) == ()  # idempotent
 
 
+def test_clear_plan_artifacts_drops_every_grounder_cache():
+    """Eviction covers the grounder's per-program layout and join plans:
+    nothing grounding attached to the program survives it."""
+    program = _conj_program()
+    instance = Instance(_universe(4))
+    answers = ground_program(program, instance).certain_answers()
+    assert any(attr.startswith("_ground") for attr in vars(program))
+    clear_plan_artifacts(program)
+    assert not [attr for attr in vars(program) if attr.startswith("_ground")]
+    assert ground_program(program, instance).certain_answers() == answers
+
+
 def test_cross_tenant_cache_hits_via_existing_counters():
     async def scenario():
         with enabled() as tel:

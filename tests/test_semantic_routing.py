@@ -9,15 +9,16 @@ duality and ``force_tier`` all keep (or pin) the program on tier 2 with an
 explainable rationale.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.core import Fact, Instance, RelationSymbol
+from repro.core import Atom, Fact, Instance, RelationSymbol, Variable
 from repro.core.cq import atomic_query
 from repro.core.schema import Schema
 from repro.csp.canonical_datalog import has_tree_duality
-from repro.datalog import evaluate
+from repro.datalog import DisjunctiveDatalogProgram, Rule, evaluate, goal_atom
 from repro.dl import ConceptInclusion, ConceptName, Exists, Ontology, Role
 from repro.obda.applications import plan_omq_workload, serve_omq_workload
 from repro.omq.certain import compile_to_mddlog
@@ -174,6 +175,68 @@ def test_cross_validate_is_a_public_hook():
     program = compile_to_mddlog(fo_rewritable_omq())
     plan = plan_program(program)
     assert cross_validate(program, plan) > 0
+
+
+# Boolean reference for the surface tests: goal() <- A(x), and B facts make
+# the data inconsistent (then every tuple, here (), is vacuously certain).
+_A = RelationSymbol("A", 1)
+_B = RelationSymbol("B", 1)
+_X = Variable("x")
+
+
+def _surface_reference() -> DisjunctiveDatalogProgram:
+    return DisjunctiveDatalogProgram(
+        [Rule((goal_atom(),), (Atom(_A, (_X,)),)), Rule((), (Atom(_B, (_X,)),))]
+    )
+
+
+def _candidate_plan(rules, tier):
+    return plan_for_tier(DisjunctiveDatalogProgram(rules), tier)
+
+
+def test_cross_validate_rejects_wrong_answers_of_a_routed_rewriting():
+    """Dropping one disjunct of the constructed obstruction UCQ breaks the
+    answers and leaves the (constraint-free) verdict right."""
+    program = compile_to_mddlog(fo_rewritable_omq())
+    plan = plan_program(program)
+    unfolding = plan.unfolding
+    broken = dataclasses.replace(
+        plan,
+        unfolding=dataclasses.replace(
+            unfolding, goal_disjuncts=unfolding.goal_disjuncts[1:]
+        ),
+    )
+    with pytest.raises(ValueError, match="rewriting diverges from ground"):
+        cross_validate(program, broken)
+
+
+@pytest.mark.parametrize("tier", [TIER_REWRITE, TIER_FIXPOINT])
+def test_cross_validate_rejects_wrong_answers_with_a_right_verdict(tier):
+    """Same constraint, too strict a goal rule: only answers diverge."""
+    candidate = _candidate_plan(
+        [
+            Rule((goal_atom(),), (Atom(_A, (_X,)), Atom(_B, (_X,)))),
+            Rule((), (Atom(_B, (_X,)),)),
+        ],
+        tier,
+    )
+    with pytest.raises(ValueError, match="rewriting diverges from ground"):
+        cross_validate(_surface_reference(), candidate)
+
+
+@pytest.mark.parametrize("tier", [TIER_REWRITE, TIER_FIXPOINT])
+def test_cross_validate_rejects_a_wrong_verdict_with_right_answers(tier):
+    """The constraint rule dropped, its vacuous answer derived instead:
+    the answers agree on every instance, only the verdict diverges."""
+    candidate = _candidate_plan(
+        [
+            Rule((goal_atom(),), (Atom(_A, (_X,)),)),
+            Rule((goal_atom(),), (Atom(_B, (_X,)),)),
+        ],
+        tier,
+    )
+    with pytest.raises(ValueError, match="consistency test diverges"):
+        cross_validate(_surface_reference(), candidate)
 
 
 # ---------------------------------------------------------------------------
