@@ -3,12 +3,13 @@
 Datalog queries are the rewriting target of Section 5.3; a *datalog query* in
 the paper is a DDlog query defined by a program whose rule heads are single
 atoms.  This module provides a least-fixpoint evaluator, which is what makes
-the datalog-rewritability experiments executable.
+the datalog-rewritability experiments executable, and its DRed-maintained
+form under fact updates (:class:`IncrementalFixpoint`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from ..core.cq import Atom, Variable
 from ..core.instance import Fact, Instance, MutableIndexedInstance, TupleIndexedInstance
@@ -21,12 +22,14 @@ from ..engine.joins import (
     execute_join,
     extend_assignment,
     join_assignments,
+    join_exists,
     order_atoms,
 )
 from ..obs import telemetry as _telemetry
 from .ddlog import ADOM, DisjunctiveDatalogProgram, Rule
 
 Element = Hashable
+_ADOM_SYMBOL = RelationSymbol(ADOM, 1)
 
 
 def seed_row_builder(
@@ -460,3 +463,222 @@ def union_datalog_queries(programs: Sequence[DatalogProgram]) -> DatalogProgram:
             Rule((Atom(goal, answer_vars),), (Atom(component_goal, answer_vars),))
         )
     return DatalogProgram(renamed_rules, goal_relation=goal)
+
+
+# ---------------------------------------------------------------------------
+# DRed maintenance of plain-datalog fixpoints
+# ---------------------------------------------------------------------------
+
+
+class IncrementalFixpoint:
+    """A materialized least fixpoint maintained under fact-level updates.
+
+    Insertions run semi-naive rounds seeded by the delta; deletions use
+    DRed (delete-and-rederive): over-delete every fact whose derivation may
+    have used a deleted fact, then re-derive the survivors from what is
+    left.  ``adom`` facts are maintained directly from the EDB instance's
+    active domain, exactly as :meth:`DatalogProgram.least_fixpoint` seeds
+    them.
+    """
+
+    def __init__(
+        self, program: DatalogProgram, instance: Instance | None = None
+    ) -> None:
+        self.program = program
+        self._edb = instance if instance is not None else Instance([])
+        self._fixpoint = program.least_fixpoint(self._edb)
+        # Re-derivation plans (whole rule body bound by the head variables),
+        # lazily compiled per rule and reused across epochs: the session's
+        # delta copies and fixpoints all share one append-only interner, so
+        # the identity guard only recompiles if a caller ever swaps in an
+        # unrelated instance.  The semi-naive per-rule plans live on the
+        # program itself (:meth:`DatalogProgram.compiled_rules`).
+        self._rederive_plans: list[tuple[JoinPlan, Callable] | None] | None = None
+        self._rederive_interner: Interner | None = None
+
+    def _rederive(
+        self, rule_index: int, store
+    ) -> tuple[JoinPlan, Callable]:
+        """One rule's re-derivation plan: the whole body bound by the head
+        variables, plus the head-row matcher seeding it (DRed checks)."""
+        interner = store.interner
+        if self._rederive_plans is None or self._rederive_interner is not interner:
+            self._rederive_plans = [None] * len(self.program.rules)
+            self._rederive_interner = interner
+        entry = self._rederive_plans[rule_index]
+        if entry is None:
+            rule = self.program.rules[rule_index]
+            head = rule.head[0]
+            plan = compile_join(rule.body, store, bound=head.variables)
+            entry = (plan, seed_row_builder(head, plan, interner))
+            self._rederive_plans[rule_index] = entry
+        return entry
+
+    def join_plans(self) -> tuple | None:
+        """The re-derivation plans, once a deletion compiled any."""
+        if self._rederive_plans is None:
+            return None
+        return self._rederive_plans, self._rederive_interner
+
+    def adopt_join_plans(self, warm: tuple) -> None:
+        """Transplant plans banked from a fixpoint of the same program."""
+        self._rederive_plans, self._rederive_interner = warm
+
+    @property
+    def edb(self) -> Instance:
+        return self._edb
+
+    @property
+    def fixpoint(self) -> Instance:
+        return self._fixpoint
+
+    def goal_answers(self) -> frozenset[tuple]:
+        """Goal tuples over the active domain (the certain answers of a
+        disjunction-free program)."""
+        adom = self._edb.active_domain
+        return frozenset(
+            row
+            for row in self._fixpoint.tuples(self.program.goal_relation)
+            if all(value in adom for value in row)
+        )
+
+    # -- updates ---------------------------------------------------------------
+
+    def insert(self, facts: Iterable[Fact]) -> None:
+        added = [f for f in facts if f not in self._edb.facts]
+        if not added:
+            return
+        with _telemetry.maybe_span("dred.insert", facts=len(added)):
+            new_edb = self._edb.with_facts(added)
+            new_elements = new_edb.active_domain - self._edb.active_domain
+            self._edb = new_edb
+            delta = list(added) + [
+                Fact(_ADOM_SYMBOL, (element,)) for element in new_elements
+            ]
+            self._propagate(delta)
+
+    def delete(self, facts: Iterable[Fact]) -> None:
+        removed = [f for f in facts if f in self._edb.facts]
+        if not removed:
+            return
+        new_edb = self._edb.without_facts(removed)
+        dropped = self._edb.active_domain - new_edb.active_domain
+        self._edb = new_edb
+        # Over-deletion: anything derivable through a deleted fact, computed
+        # against the pre-deletion fixpoint (the standard over-approximation).
+        # The whole pass runs on interned rows: the old fixpoint, the new
+        # EDB and the compiled plans share the session interner, so the
+        # frontier is a dict of row batches and membership checks hash ints.
+        old_fixpoint = self._fixpoint
+        interner = old_fixpoint.interner
+        compiled = self.program.compiled_rules(old_fixpoint)
+        protected_adom = {
+            interner.code(element) for element in new_edb.active_domain
+        }
+        overdeleted: dict[RelationSymbol, set[IntRow]] = {}
+        frontier: dict[RelationSymbol, list[IntRow]] = {}
+
+        def seed(relation: RelationSymbol, row: IntRow) -> None:
+            overdeleted.setdefault(relation, set()).add(row)
+            frontier.setdefault(relation, []).append(row)
+
+        for fact in removed:
+            seed(fact.relation, interner.intern_row(fact.arguments))
+        for element in dropped:
+            seed(_ADOM_SYMBOL, (interner.code(element),))
+        while frontier:
+            wave: dict[RelationSymbol, list[IntRow]] = {}
+            for crule in compiled:
+                head_relation = crule.rule.head[0].relation
+                live = old_fixpoint.relation_rows(head_relation)
+                gone = overdeleted.setdefault(head_relation, set())
+                protected = (
+                    new_edb.relation_rows(head_relation)
+                    if head_relation != _ADOM_SYMBOL
+                    else None
+                )
+                for build_head, rows in crule.delta_result_rows(
+                    old_fixpoint, frontier
+                ):
+                    for row in rows:
+                        head_row = build_head(row)
+                        if head_row in gone or head_row not in live:
+                            continue
+                        if protected is None:
+                            if head_row[0] in protected_adom:
+                                continue
+                        elif head_row in protected:
+                            continue
+                        gone.add(head_row)
+                        wave.setdefault(head_relation, []).append(head_row)
+            frontier = wave
+        overdeleted_facts = [
+            Fact(relation, interner.decode_row(row))
+            for relation, rows in overdeleted.items()
+            for row in rows
+        ]
+        remaining = self._fixpoint.without_facts(overdeleted_facts)
+        self._fixpoint = remaining
+        # Re-derivation: an over-deleted fact with an alternative derivation
+        # from the remainder comes back (and propagates semi-naively).  The
+        # removed facts themselves are candidates too — a deleted fact over
+        # an IDB relation stays derived exactly when some rule still derives
+        # it, matching a from-scratch recomputation.  Each candidate is one
+        # early-exit existence probe of the rule body seeded by its head row.
+        rederived = []
+        for fact in sorted(overdeleted_facts, key=str):
+            row = interner.intern_row(fact.arguments)
+            for rule_index, rule in enumerate(self.program.rules):
+                head = rule.head[0]
+                if head.relation != fact.relation:
+                    continue
+                plan, match_head = self._rederive(rule_index, remaining)
+                seed_row = match_head(row)
+                if seed_row is None:
+                    continue
+                if join_exists(plan, remaining, seed_row):
+                    rederived.append(fact)
+                    break
+        tel = _telemetry.ACTIVE
+        if tel is not None:
+            tel.count("dred.deletes")
+            tel.count("dred.overdeleted", len(overdeleted_facts))
+            tel.count("dred.rederived", len(rederived))
+        if rederived:
+            self._propagate(rederived)
+
+    # -- semi-naive propagation ------------------------------------------------
+
+    def _propagate(self, delta_facts: list[Fact]) -> None:
+        # One mutable columnar store across all semi-naive rounds (same
+        # pattern as DatalogProgram.least_fixpoint): each round seeds the
+        # cached compiled plans with the previous round's delta batches, a
+        # round's derivations are buffered and applied at the round
+        # boundary, and the store is frozen once at saturation.
+        current = MutableIndexedInstance(self._fixpoint)
+        compiled = self.program.compiled_rules(current)
+        interner = current.interner
+        delta: dict[RelationSymbol, list[IntRow]] = {}
+        for fact in delta_facts:
+            row = interner.intern_row(fact.arguments)
+            if current.add_row(fact.relation, row):
+                delta.setdefault(fact.relation, []).append(row)
+        while delta:
+            pending: dict[RelationSymbol, set[IntRow]] = {}
+            for crule in compiled:
+                head_relation = crule.rule.head[0].relation
+                derived = pending.get(head_relation)
+                for build_head, rows in crule.delta_result_rows(current, delta):
+                    for row in rows:
+                        head_row = build_head(row)
+                        if current.has_row(head_relation, head_row):
+                            continue
+                        if derived is None:
+                            derived = pending.setdefault(head_relation, set())
+                        derived.add(head_row)
+            delta = {}
+            for relation, rows in pending.items():
+                fresh = [row for row in rows if current.add_row(relation, row)]
+                if fresh:
+                    delta[relation] = fresh
+        self._fixpoint = current.freeze()

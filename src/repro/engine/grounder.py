@@ -498,23 +498,17 @@ class GroundProgram:
             return False
         return not self.has_model_avoiding([answer])
 
-    def surfaces(self) -> tuple[bool, frozenset[tuple]]:
-        """Whether some model extends the instance, and all certain answers:
-        the assumption-free ``solve()`` that gives the verdict also screens
-        the candidates, the rest each decided incrementally against the
-        persistent solver (:func:`screen_candidates`)."""
+    def certain_answers(self) -> frozenset[tuple]:
+        """All certain answers: the assumption-free ``solve()`` that finds
+        a model also screens the candidates (:func:`screen_candidates`)."""
         arity = self.program.arity
         if not self.solver.solve():
-            return False, no_model_answers(self.instance.active_domain, arity)
+            return no_model_answers(self.instance.active_domain, arity)
         domain = sorted(self.instance.active_domain, key=repr)
         candidates = itertools.product(domain, repeat=arity)
-        return True, frozenset(
+        return frozenset(
             screen_candidates(self.solver, self.program.goal_relation, candidates)
         )
-
-    def certain_answers(self) -> frozenset[tuple]:
-        """All certain answers (see :meth:`surfaces`)."""
-        return self.surfaces()[1]
 
 
 def ground_program(

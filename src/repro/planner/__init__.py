@@ -50,15 +50,11 @@ from .analysis import (
     estimate_unfolding,
     unfold_to_ucq,
 )
-from ..engine.grounder import no_model_answers
 from .execute import (
     PlannedMddlogEngine,
     TierExecutor,
     UcqExecutor,
     execute_plan,
-    fixpoint_certain_answers,
-    ucq_certain_answers,
-    unfolding_consistent,
 )
 from .plan import (
     TIER_FIXPOINT,
@@ -124,14 +120,10 @@ __all__ = [
     "estimate_cost",
     "estimate_unfolding",
     "execute_plan",
-    "fixpoint_certain_answers",
-    "no_model_answers",
     "plan_for_tier",
     "plan_program",
     "plan_workload",
     "program_identity_key",
     "static_rates",
-    "ucq_certain_answers",
     "unfold_to_ucq",
-    "unfolding_consistent",
 ]

@@ -375,22 +375,22 @@ def effective_unfold_caps(
     explicit numbers win outright.  Otherwise the decision is the cost
     model's: estimate the unfolding in closed form and widen the caps past
     the historical 256 x 24 fixed limits exactly when the estimated work
-    (disjuncts x atoms) stays within the work budget or within
+    (disjuncts x atoms) stays within ``DEFAULT_UNFOLD_WORK_BUDGET`` or within
     ``UNFOLD_FIXPOINT_ADVANTAGE`` x the fixpoint alternative's read score —
     capped by hard ceilings so a genuine blowup still trips early and
     degrades to tier 1.
     """
     if caps is not None and caps.max_disjuncts is not None and caps.max_atoms is not None:
         return caps.max_disjuncts, caps.max_atoms
-    budget = DEFAULT_UNFOLD_WORK_BUDGET
-    if caps is not None and caps.work_budget is not None:
-        budget = caps.work_budget
     disjuncts, atoms = MAX_UNFOLDED_DISJUNCTS, MAX_DISJUNCT_ATOMS
     estimate = estimate_unfolding(program)
     if estimate is not None:
         est_disjuncts, est_atoms = estimate
         work = float(max(est_disjuncts, 1)) * float(max(est_atoms, 1))
-        allowance = max(budget, UNFOLD_FIXPOINT_ADVANTAGE * fixpoint_read_score(program))
+        allowance = max(
+            DEFAULT_UNFOLD_WORK_BUDGET,
+            UNFOLD_FIXPOINT_ADVANTAGE * fixpoint_read_score(program),
+        )
         if work <= allowance:
             disjuncts = max(disjuncts, min(est_disjuncts, UNFOLD_DISJUNCT_CEILING))
             atoms = max(atoms, min(est_atoms, UNFOLD_ATOM_CEILING))

@@ -9,19 +9,20 @@ answers, only cost:
 
 * tier 0 evaluates the UCQ unfolding disjunct-by-disjunct with the
   engine's join planner directly over the instance indexes;
-* tier 1 runs the semi-naive least fixpoint of
-  :mod:`repro.datalog.plain` and checks constraints against the
-  materialized minimal model (rule bodies are positive, hence monotone: a
-  constraint body satisfied in the minimal model is satisfied in every
-  model, so firing means *no* model exists);
-* tier 2 grounds once and decides candidates against the persistent
-  incremental CDCL solver, optionally across a worker pool.
+* tier 1 materializes the semi-naive least fixpoint
+  (:class:`~repro.datalog.plain.IncrementalFixpoint`, DRed-maintained when
+  live) and checks constraints against that minimal model (rule bodies
+  are positive, hence monotone: a constraint body satisfied in the minimal
+  model is satisfied in every model, so firing means *no* model exists);
+* tier 2 decides candidates against a CDCL solver: one grounding's
+  (:class:`GroundExecutor`) or a session's guarded delta-grounded one
+  (:class:`SatExecutor`).
 
-:class:`TierExecutor` is the decision protocol the serving layer shares:
-its base class answers ``certain_answers`` / ``decide`` / ``is_certain``
-once, over per-tier hooks.  The stateless tier-0 executor lives here; the
-stateful tier-1/2 executors (DRed fixpoint, guarded CDCL solver) live in
-:mod:`repro.service.session`.
+Every certain-answer route for a compiled program builds one
+:class:`TierExecutor` and asks it.  All executors share one
+``(plan, instance, warm=None)`` constructor; one-shot routes pick the
+class from :data:`ONE_SHOT_EXECUTORS`, sessions from
+:data:`LIVE_EXECUTORS`, which differ on tier 2 only.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ from typing import Iterable, Iterator, Sequence
 
 from ..core.cq import Variable
 from ..core.instance import Fact, Instance
-from ..datalog.plain import DatalogProgram
-from ..engine.grounder import ground_program, no_model_answers
+from ..datalog.plain import DatalogProgram, IncrementalFixpoint
+from ..engine.grounder import ground_program, no_model_answers, screen_candidates
 from ..engine.joins import compile_join, execute_join, join_exists
 from ..engine.parallel import parallel_certain_answers, resolve_workers
-from .analysis import UcqUnfolding, UnfoldedDisjunct
+from ..engine.sat import ClauseSolver
+from .analysis import UnfoldedDisjunct
 from .plan import (
     TIER_FIXPOINT,
+    TIER_GROUND_SAT,
     TIER_REWRITE,
     QueryPlan,
     auto_workers,
@@ -45,27 +48,31 @@ from .plan import (
     plan_program,
 )
 
+# ``repro.service`` imports the planner, so the live tier-2 executor imports
+# its delta grounding where it uses it.
+
 
 class TierExecutor:
     """One plan's tier behind the shared certain-answer protocol.
 
-    The base class implements :meth:`certain_answers`, :meth:`decide` and
-    :meth:`is_certain` once: inconsistent data goes through the no-model
-    rule, and only arity-tuples over the active domain ever reach a tier.
-    Each tier supplies
+    The base class implements :meth:`surfaces`, :meth:`certain_answers`,
+    :meth:`decide` and :meth:`is_certain` once: inconsistent data goes
+    through the no-model rule, and only arity-tuples over the active domain
+    ever reach a tier.  Each tier supplies
 
     * :meth:`consistent` — does some model extend the data?
     * :meth:`answers` / :meth:`certain_among` — the consistent case, always
       called right after :meth:`consistent` returned ``True``;
-    * :meth:`insert` / :meth:`delete` — maintenance under updates (no-ops
-      for a stateless tier);
+    * :meth:`insert` / :meth:`delete` — maintenance under updates; the base
+      class refuses them, so an executor bound to one instance can never
+      serve a session stale answers;
     * :meth:`warm_caches` — compiled join plans worth transplanting into a
       rebuilt executor of the same plan (``warm=`` of the constructors).
     """
 
     tier: int
 
-    def __init__(self, plan: QueryPlan) -> None:
+    def __init__(self, plan: QueryPlan, instance: Instance, warm=None) -> None:
         self.plan = plan
         self.program = plan.program
 
@@ -78,16 +85,16 @@ class TierExecutor:
         raise NotImplementedError
 
     def certain_among(
-        self, instance: Instance, candidates: list[tuple]
+        self, instance: Instance, candidates: Iterable[tuple]
     ) -> Iterable[tuple]:
         raise NotImplementedError
 
     def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
         """Absorb an inserted delta; returns the clauses pushed."""
-        return 0
+        raise NotImplementedError(f"{type(self).__name__} is bound to one instance")
 
     def delete(self, removed: Iterable[Fact]) -> None:
-        pass
+        raise NotImplementedError(f"{type(self).__name__} is bound to one instance")
 
     def warm_caches(self):
         return None
@@ -230,14 +237,6 @@ def _disjunct_satisfiable(
     return join_exists(plan, instance, seed)
 
 
-def unfolding_consistent(unfolding: UcqUnfolding, instance: Instance) -> bool:
-    """Does some model exist — i.e. no unfolded constraint fires?"""
-    return not any(
-        _disjunct_satisfiable(disjunct, instance)
-        for disjunct in unfolding.constraint_disjuncts
-    )
-
-
 def _disjunct_entails(
     disjunct: UnfoldedDisjunct, instance: Instance, candidate: tuple
 ) -> bool:
@@ -263,13 +262,22 @@ class UcqExecutor(TierExecutor):
 
     tier = TIER_REWRITE
 
-    def __init__(self, plan: QueryPlan) -> None:
-        super().__init__(plan)
+    def __init__(self, plan: QueryPlan, instance: Instance, warm=None) -> None:
+        super().__init__(plan, instance)
         assert plan.unfolding is not None
         self.unfolding = plan.unfolding
 
+    def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
+        return 0
+
+    def delete(self, removed: Iterable[Fact]) -> None:
+        pass
+
     def consistent(self, instance: Instance) -> bool:
-        return unfolding_consistent(self.unfolding, instance)
+        return not any(
+            _disjunct_satisfiable(disjunct, instance)
+            for disjunct in self.unfolding.constraint_disjuncts
+        )
 
     def answers(self, instance: Instance) -> frozenset[tuple]:
         domain = sorted(instance.active_domain, key=repr)
@@ -279,7 +287,7 @@ class UcqExecutor(TierExecutor):
         return frozenset(answers)
 
     def certain_among(
-        self, instance: Instance, candidates: list[tuple]
+        self, instance: Instance, candidates: Iterable[tuple]
     ) -> Iterable[tuple]:
         return [
             candidate
@@ -289,11 +297,6 @@ class UcqExecutor(TierExecutor):
                 for disjunct in self.unfolding.goal_disjuncts
             )
         ]
-
-
-def ucq_certain_answers(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
-    """Tier-0 certain answers: evaluate the unfolded UCQ, no grounding."""
-    return UcqExecutor(plan).certain_answers(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +316,7 @@ def fixpoint_program(plan: QueryPlan) -> DatalogProgram:
 
     For plans carrying a semantic rewriting this is the constructed
     canonical datalog program; otherwise the plan's own rules minus
-    constraints (which :func:`fixpoint_certain_answers` checks against the
+    constraints (which :class:`FixpointExecutor` checks against the
     materialized minimal model instead).  The result is cached on the plan
     so repeated state (re)builds — adaptive swaps, session compaction —
     reuse one program object and its compiled-rule caches.
@@ -335,57 +338,158 @@ def fixpoint_program(plan: QueryPlan) -> DatalogProgram:
     return result
 
 
-def constraint_fires(rule, fixpoint: Instance) -> bool:
-    """Does a constraint body match the materialized fixpoint?
+class FixpointExecutor(TierExecutor):
+    """Tier 1: a materialized least fixpoint, DRed-maintained under updates.
 
-    ``fixpoint`` holds the derived IDB facts *and* the ``adom`` facts the
-    fixpoint evaluator seeds, so constraint bodies (EDB, IDB and adom
-    atoms alike) are plain joins against it — run depth-first with early
-    exit (:func:`~repro.engine.joins.join_exists`) over the interned rows.
-    """
-    return join_exists(compile_join(rule.body, fixpoint), fixpoint)
-
-
-def fixpoint_consistent(plan: QueryPlan, fixpoint: Instance) -> bool:
-    """Does some model exist — no constraint of the executed program fires
-    on its materialized minimal model ``fixpoint``?
-
-    The constraints are those of the program the tier actually runs: a
-    semantic canonical-datalog rewriting has none (template
+    Building it is one semi-naive evaluation, which is all a one-shot
+    answer costs.  Constraints (empty-headed rules) are checked against
+    the minimal model at query time: rule bodies are positive, so a
+    constraint body satisfied in the least fixpoint is satisfied in
+    *every* model, in which case no model exists.  A semantic
+    canonical-datalog rewriting has no constraints (template
     incompatibilities are already encoded in its image-set rules).
     """
-    return not any(
-        constraint_fires(rule, fixpoint)
-        for rule in plan.execution_program.rules
-        if rule.is_constraint()
-    )
+
+    tier = TIER_FIXPOINT
+
+    def __init__(self, plan: QueryPlan, instance: Instance, warm=None) -> None:
+        super().__init__(plan, instance)
+        self.fixpoint = IncrementalFixpoint(fixpoint_program(plan), instance=instance)
+        if warm is not None:
+            self.fixpoint.adopt_join_plans(warm)
+
+    def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
+        self.fixpoint.insert(delta)
+        return 0
+
+    def delete(self, removed: Iterable[Fact]) -> None:
+        self.fixpoint.delete(removed)
+
+    def warm_caches(self):
+        return self.fixpoint.join_plans()
+
+    def consistent(self, instance: Instance) -> bool:
+        # The fixpoint holds the derived IDB and the seeded adom facts, so
+        # a constraint body is one early-exit join against it.
+        fixpoint = self.fixpoint.fixpoint
+        return not any(
+            join_exists(compile_join(rule.body, fixpoint), fixpoint)
+            for rule in self.plan.execution_program.rules
+            if rule.is_constraint()
+        )
+
+    def answers(self, instance: Instance) -> frozenset[tuple]:
+        return self.fixpoint.goal_answers()
+
+    def certain_among(
+        self, instance: Instance, candidates: Iterable[tuple]
+    ) -> list[tuple]:
+        answers = self.fixpoint.goal_answers()
+        return [candidate for candidate in candidates if candidate in answers]
 
 
-def fixpoint_surfaces(
-    plan: QueryPlan, instance: Instance
-) -> tuple[bool, frozenset[tuple]]:
-    """Tier-1 consistency verdict and certain answers from one least
-    fixpoint: constraints are checked against it, goal rows read off it."""
-    program = plan.execution_program
-    fixpoint = fixpoint_program(plan).least_fixpoint(instance)
-    if not fixpoint_consistent(plan, fixpoint):
-        return False, no_model_answers(instance.active_domain, program.arity)
-    adom = instance.active_domain
-    return True, frozenset(
-        row
-        for row in fixpoint.tuples(program.goal_relation)
-        if all(value in adom for value in row)
-    )
+# ---------------------------------------------------------------------------
+# Tier 2: candidate decisions against a CDCL solver
+# ---------------------------------------------------------------------------
 
 
-def fixpoint_certain_answers(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
-    """Tier-1 certain answers: least fixpoint + constraint check, no SAT."""
-    return fixpoint_surfaces(plan, instance)[1]
+class SolverExecutor(TierExecutor):
+    """Tier 2 over one persistent :class:`~repro.engine.sat.ClauseSolver`:
+    the assumption-free verdict ``solve()`` also screens the candidates
+    (:func:`~repro.engine.grounder.screen_candidates`)."""
+
+    tier = TIER_GROUND_SAT
+    solver: ClauseSolver
+
+    def consistent(self, instance: Instance) -> bool:
+        return self.solver.solve()
+
+    def answers(self, instance: Instance) -> frozenset[tuple]:
+        domain = sorted(instance.active_domain, key=repr)
+        candidates = itertools.product(domain, repeat=self.program.arity)
+        return frozenset(self.certain_among(instance, candidates))
+
+    def certain_among(
+        self, instance: Instance, candidates: Iterable[tuple]
+    ) -> list[tuple]:
+        # consistent() just ran the assumption-free solve that screens them
+        return screen_candidates(self.solver, self.program.goal_relation, candidates)
+
+
+class GroundExecutor(SolverExecutor):
+    """One-shot tier 2: ground the program over one instance, once
+    (deduplicated and subsumption-reduced, no guard literals), and decide
+    against that grounding's solver."""
+
+    def __init__(self, plan: QueryPlan, instance: Instance, warm=None) -> None:
+        super().__init__(plan, instance)
+        self.ground = ground_program(self.program, instance)
+
+    @property
+    def solver(self) -> ClauseSolver:
+        return self.ground.solver
+
+
+class SatExecutor(SolverExecutor):
+    """Live tier 2: guarded delta grounding feeding one persistent solver.
+
+    Insertions push only the newly justified clauses
+    (:class:`repro.service.delta.DeltaGrounder`) and assume the new facts'
+    guard literals; deletions retract those assumptions, so learned
+    clauses survive every update.
+    """
+
+    def __init__(self, plan: QueryPlan, instance: Instance, warm=None) -> None:
+        from ..service.delta import DeltaGrounder
+
+        super().__init__(plan, instance)
+        self.grounder = DeltaGrounder(self.program)
+        if warm is not None:
+            self.grounder.adopt_join_plans(warm)
+        self.solver = ClauseSolver()
+        for negative, positive in self.grounder.bootstrap_clauses():
+            self.solver.add_clause(negative, positive)
+        facts = sorted(instance.facts, key=str)
+        if facts:
+            self.insert(Instance([]), Instance(facts), instance)
+
+    def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
+        from ..service.delta import fact_guard
+
+        clauses = self.grounder.insert(old, delta, new)
+        for negative, positive in clauses:
+            self.solver.add_clause(negative, positive)
+        for fact in delta:
+            self.solver.assume(fact_guard(fact))
+        return len(clauses)
+
+    def delete(self, removed: Iterable[Fact]) -> None:
+        from ..service.delta import fact_guard
+
+        for fact in removed:
+            self.solver.retract_assumption(fact_guard(fact))
+
+    def warm_caches(self):
+        return self.grounder.join_plans()
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
+
+
+#: The executor class per tier for answering one fixed instance.
+ONE_SHOT_EXECUTORS: dict[int, type[TierExecutor]] = {
+    TIER_REWRITE: UcqExecutor,
+    TIER_FIXPOINT: FixpointExecutor,
+    TIER_GROUND_SAT: GroundExecutor,
+}
+
+#: The executor class per tier for a session's evolving instance.
+LIVE_EXECUTORS: dict[int, type[TierExecutor]] = {
+    **ONE_SHOT_EXECUTORS,
+    TIER_GROUND_SAT: SatExecutor,
+}
 
 
 def execute_plan(
@@ -400,32 +504,15 @@ def execute_plan(
     decisions to fan out); ``"auto"`` sizes the pool from the cost
     estimate's work score.
     """
-    if plan.tier == TIER_REWRITE:
-        return ucq_certain_answers(plan, instance)
-    if plan.tier == TIER_FIXPOINT:
-        return fixpoint_certain_answers(plan, instance)
-    ground = ground_program(plan.program, instance)
-    if parallel == "auto":
-        parallel = auto_workers(estimate_cost(plan, instance).tier2_work_score)
-    if parallel is not None and resolve_workers(parallel) > 1:
-        return parallel_certain_answers(
-            ground, workers=parallel, chunk_size=chunk_size
-        )
-    return ground.certain_answers()
-
-
-def plan_surfaces(
-    plan: QueryPlan, instance: Instance
-) -> tuple[bool, frozenset[tuple]]:
-    """The plan's consistency verdict and certain answers on one instance,
-    from one evaluation of its tier: one unfolding pass (tier 0), one least
-    fixpoint (tier 1), or one grounding whose verdict ``solve()`` also
-    screens the candidates (tier 2)."""
-    if plan.tier == TIER_REWRITE:
-        return UcqExecutor(plan).surfaces(instance)
-    if plan.tier == TIER_FIXPOINT:
-        return fixpoint_surfaces(plan, instance)
-    return ground_program(plan.program, instance).surfaces()
+    executor = ONE_SHOT_EXECUTORS[plan.tier](plan, instance)
+    if plan.tier == TIER_GROUND_SAT and parallel is not None:
+        if parallel == "auto":
+            parallel = auto_workers(estimate_cost(plan, instance).tier2_work_score)
+        if parallel is not None and resolve_workers(parallel) > 1:
+            return parallel_certain_answers(
+                executor.ground, workers=parallel, chunk_size=chunk_size
+            )
+    return executor.certain_answers(instance)
 
 
 class PlannedMddlogEngine:
@@ -448,8 +535,5 @@ class PlannedMddlogEngine:
         return execute_plan(self.plan, instance, parallel=parallel)
 
     def is_certain(self, instance: Instance, answer: Sequence = ()) -> bool:
-        if self.plan.tier == TIER_REWRITE:
-            return UcqExecutor(self.plan).is_certain(instance, answer)
-        if self.plan.tier == TIER_FIXPOINT:
-            return tuple(answer) in fixpoint_certain_answers(self.plan, instance)
-        return ground_program(self.program, instance).holds(answer)
+        executor = ONE_SHOT_EXECUTORS[self.plan.tier](self.plan, instance)
+        return executor.is_certain(instance, answer)

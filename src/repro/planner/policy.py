@@ -38,13 +38,13 @@ class UnfoldCaps:
     delegates to the cost model
     (:func:`repro.planner.analysis.effective_unfold_caps`): the unfolding
     size is estimated from the IDB call graph and admitted when its
-    work — disjuncts x atoms — stays within ``work_budget`` or within a
+    work — disjuncts x atoms — stays within
+    :data:`~repro.planner.analysis.DEFAULT_UNFOLD_WORK_BUDGET` or within a
     constant factor of the fixpoint alternative's per-read cost.
     """
 
     max_disjuncts: int | None = None
     max_atoms: int | None = None
-    work_budget: float | None = None
 
 
 @dataclass(frozen=True)

@@ -906,9 +906,10 @@ def cross_validate(
       sessions expose as ``is_consistent`` and what the sharded merge
       escalates on, served by the constructed constraint artifacts.
 
-    Each side is evaluated once per instance
-    (:func:`~repro.planner.execute.plan_surfaces`): the reference grounds
-    once, and the solve that gives its verdict also screens its
+    Each side is evaluated once per instance by its one-shot tier executor
+    (:data:`~repro.planner.execute.ONE_SHOT_EXECUTORS`,
+    :meth:`~repro.planner.execute.TierExecutor.surfaces`): the reference
+    grounds once, and the solve that gives its verdict also screens its
     candidates; the candidate runs one unfolding pass (tier 0) or one
     least fixpoint (tier 1) for both surfaces.
 
@@ -921,8 +922,11 @@ def cross_validate(
     and tests can call this with their own plans (and budgets) to
     re-certify a routed rewriting at any scale.
     """
-    from .execute import plan_surfaces
+    from .execute import ONE_SHOT_EXECUTORS
     from .plan import TIER_GROUND_SAT, plan_for_tier
+
+    def surfaces(plan, data):
+        return ONE_SHOT_EXECUTORS[plan.tier](plan, data).surfaces(data)
 
     reference_plan = plan_for_tier(program, TIER_GROUND_SAT)
     schema = program.edb_schema().union(
@@ -932,8 +936,8 @@ def cross_validate(
     for data in _validation_family(schema, budget):
         if deadline is not None and checked % 16 == 0:
             deadline.check("cross-validation")
-        reference_consistent, expected = plan_surfaces(reference_plan, data)
-        consistent, got = plan_surfaces(candidate_plan, data)
+        reference_consistent, expected = surfaces(reference_plan, data)
+        consistent, got = surfaces(candidate_plan, data)
         if got != expected:
             raise ValueError(
                 f"rewriting diverges from ground+CDCL on {data!r}: "

@@ -8,30 +8,34 @@ program used directly — and the session then answers every query against a
 single mutable data instance that evolves fact-by-fact.
 
 Each compiled query is routed by the tiered planner
-(:mod:`repro.planner`) and served by the :class:`~repro.planner.TierExecutor`
-matching its :class:`~repro.planner.QueryPlan`.  The executor base class
+(:mod:`repro.planner`) and served by the live
+:class:`~repro.planner.TierExecutor` its tier maps to in
+:data:`repro.planner.execute.LIVE_EXECUTORS`.  The executor base class
 answers ``certain_answers`` / ``decide`` / ``is_certain`` once — the
 no-model rule included — and each tier only supplies its consistency
 test, its consistent-case answers and its update maintenance:
 
 * tier 0 (nonrecursive disjunction-free) needs *no* state at all: the goal
   and constraints are unfolded into UCQs once, and every query is a join
-  against the live instance indexes (:class:`~repro.planner.UcqExecutor`);
+  against the live instance indexes
+  (:class:`~repro.planner.execute.UcqExecutor`);
 * tier 1 (recursive disjunction-free) keeps a materialized least fixpoint
   maintained by semi-naive insertion and DRed deletion
-  (:class:`FixpointExecutor` over
-  :class:`repro.service.delta.IncrementalFixpoint`), with constraints
+  (:class:`~repro.planner.execute.FixpointExecutor` over
+  :class:`repro.datalog.plain.IncrementalFixpoint`), with constraints
   checked against the minimal model at query time;
 * tier 2 (genuinely disjunctive) keeps a live CDCL solver fed by
-  support-guarded delta grounding (:class:`SatExecutor` over
+  support-guarded delta grounding
+  (:class:`~repro.planner.execute.SatExecutor` over
   :class:`repro.service.delta.DeltaGrounder`): insertions push only the
   newly justified clauses, deletions retract the facts' guard assumptions,
   and certain answers are assumption queries against the warm solver with
   all learned clauses intact.
 
 A :class:`SessionSnapshot` whose session has moved on recomputes through
-the one-shot :func:`~repro.planner.execute_plan`, which runs the same
-per-tier code on the pinned instance.
+the one-shot :func:`~repro.planner.execute_plan`, which builds the same
+tier-0/1 executor classes (and the ground-once tier-2 one) on the pinned
+instance.
 
 Answers after every update are identical to a from-scratch recomputation
 over the current instance (the streaming test-suite cross-validates this on
@@ -48,7 +52,6 @@ dropping an update or an answer (``docs/adaptive.md``).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -56,24 +59,11 @@ from typing import Iterable, Mapping, Sequence
 from ..analysis import vet_program
 from ..core.instance import Fact, Instance
 from ..datalog.ddlog import DisjunctiveDatalogProgram
-from ..engine.grounder import screen_candidates
-from ..engine.sat import ClauseSolver
 from ..obs import telemetry as _telemetry
 from ..omq.query import OntologyMediatedQuery
-from ..planner import (
-    TIER_FIXPOINT,
-    TIER_GROUND_SAT,
-    TIER_REWRITE,
-    PlanPolicy,
-    QueryPlan,
-    TierExecutor,
-    UcqExecutor,
-    execute_plan,
-    plan_program,
-)
+from ..planner import PlanPolicy, QueryPlan, TierExecutor, execute_plan, plan_program
 from ..planner.adaptive import AdaptiveController, candidate_plans
-from ..planner.execute import fixpoint_consistent, fixpoint_program
-from .delta import DeltaGrounder, IncrementalFixpoint, fact_guard
+from ..planner.execute import LIVE_EXECUTORS
 from .explain import EXPLAIN_SCHEMA
 
 DEFAULT_QUERY = "q"
@@ -114,89 +104,6 @@ def _resolve_query(names, name: str | None, owner: str) -> str:
     if name not in names:
         raise KeyError(f"unknown query {name!r}; {owner} serves {sorted(names)}")
     return name
-
-
-class FixpointExecutor(TierExecutor):
-    """Tier 1: a materialized least fixpoint, DRed-maintained under updates.
-
-    Constraints (empty-headed rules) are checked against the materialized
-    minimal model at query time: rule bodies are positive, so a constraint
-    body satisfied in the least fixpoint is satisfied in *every* model, in
-    which case no model exists.
-    """
-
-    tier = TIER_FIXPOINT
-
-    def __init__(self, plan: QueryPlan, instance: Instance, warm=None) -> None:
-        super().__init__(plan)
-        self.fixpoint = IncrementalFixpoint(fixpoint_program(plan), instance=instance)
-        if warm is not None:
-            self.fixpoint.adopt_join_plans(warm)
-
-    def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
-        self.fixpoint.insert(delta)
-        return 0
-
-    def delete(self, removed: Iterable[Fact]) -> None:
-        self.fixpoint.delete(removed)
-
-    def warm_caches(self):
-        return self.fixpoint.join_plans()
-
-    def consistent(self, instance: Instance) -> bool:
-        return fixpoint_consistent(self.plan, self.fixpoint.fixpoint)
-
-    def answers(self, instance: Instance) -> frozenset[tuple]:
-        return self.fixpoint.goal_answers()
-
-    def certain_among(self, instance: Instance, candidates: list[tuple]) -> list[tuple]:
-        answers = self.fixpoint.goal_answers()
-        return [candidate for candidate in candidates if candidate in answers]
-
-
-class SatExecutor(TierExecutor):
-    """Tier 2: guarded delta grounding feeding one persistent CDCL solver."""
-
-    tier = TIER_GROUND_SAT
-
-    def __init__(self, plan: QueryPlan, instance: Instance, warm=None) -> None:
-        super().__init__(plan)
-        self.grounder = DeltaGrounder(self.program)
-        if warm is not None:
-            self.grounder.adopt_join_plans(warm)
-        self.solver = ClauseSolver()
-        for negative, positive in self.grounder.bootstrap_clauses():
-            self.solver.add_clause(negative, positive)
-        facts = sorted(instance.facts, key=str)
-        if facts:
-            self.insert(Instance([]), Instance(facts), instance)
-
-    def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
-        clauses = self.grounder.insert(old, delta, new)
-        for negative, positive in clauses:
-            self.solver.add_clause(negative, positive)
-        for fact in delta:
-            self.solver.assume(fact_guard(fact))
-        return len(clauses)
-
-    def delete(self, removed: Iterable[Fact]) -> None:
-        for fact in removed:
-            self.solver.retract_assumption(fact_guard(fact))
-
-    def warm_caches(self):
-        return self.grounder.join_plans()
-
-    def consistent(self, instance: Instance) -> bool:
-        return self.solver.solve()
-
-    def answers(self, instance: Instance) -> frozenset[tuple]:
-        domain = sorted(instance.active_domain, key=repr)
-        candidates = list(itertools.product(domain, repeat=self.program.arity))
-        return frozenset(self.certain_among(instance, candidates))
-
-    def certain_among(self, instance: Instance, candidates: list[tuple]) -> list[tuple]:
-        # consistent() just ran the assumption-free solve that screens them
-        return screen_candidates(self.solver, self.program.goal_relation, candidates)
 
 
 class SessionSnapshot:
@@ -535,10 +442,7 @@ class ObdaSession:
         the session's shared interner, so a stale transplant degrades to a
         recompile, never to wrong plans).
         """
-        if plan.tier == TIER_REWRITE:
-            return UcqExecutor(plan)
-        executor = FixpointExecutor if plan.tier == TIER_FIXPOINT else SatExecutor
-        return executor(plan, self._instance, warm)
+        return LIVE_EXECUTORS[plan.tier](plan, self._instance, warm)
 
     def _harvest_warm(self, name: str, state: TierExecutor) -> None:
         """Bank a retiring executor's compiled join plans under its tier."""

@@ -22,7 +22,10 @@ from repro.planner import (
     TIER_GROUND_SAT,
     PlannedMddlogEngine,
     PlanPolicy,
+    execute_plan,
+    plan_for_tier,
 )
+from repro.planner.execute import LIVE_EXECUTORS, ONE_SHOT_EXECUTORS
 from repro.service import (
     IncrementalFixpoint,
     ObdaSession,
@@ -566,6 +569,19 @@ def _session_route(tier):
     return build
 
 
+def _oneshot_route(tier):
+    def build(program, facts):
+        plan = plan_for_tier(program, tier)
+        instance = Instance(facts)
+        executor = ONE_SHOT_EXECUTORS[tier](plan, instance)
+        return (
+            lambda answer: executor.is_certain(instance, answer),
+            lambda: execute_plan(plan, instance),
+        )
+
+    return build
+
+
 def _current_snapshot_route(program, facts):
     snapshot = ObdaSession(program, facts).snapshot()
     assert snapshot.is_current
@@ -589,10 +605,26 @@ def _shards_route(program, facts):
 ANSWER_ROUTES = {
     **{f"engine-tier{tier}": _engine_route(tier) for tier in (0, 1, 2)},
     **{f"session-tier{tier}": _session_route(tier) for tier in (0, 1, 2)},
+    **{f"oneshot-tier{tier}": _oneshot_route(tier) for tier in (0, 1, 2)},
     "snapshot-current": _current_snapshot_route,
     "snapshot-stale": _stale_snapshot_route,
     "shards": _shards_route,
 }
+
+
+def _route_case(consistent):
+    """goal(x) <- A(x) with the constraint <- A(x), C(x); the no-model data
+    fires the constraint."""
+    program = DisjunctiveDatalogProgram(
+        [
+            Rule((goal_atom(X),), (Atom(A, (X,)),)),
+            Rule((), (Atom(A, (X,)), Atom(C, (X,)))),
+        ]
+    )
+    facts = [Fact(A, ("a",)), Fact(C, ("b",))]
+    if not consistent:
+        facts.append(Fact(C, ("a",)))
+    return program, facts
 
 
 @pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "no-model"])
@@ -604,15 +636,7 @@ def test_route_agreement_is_certain_matches_certain_answers(route, consistent):
     model exists *every* such tuple is certain — but still nothing else:
     neither a wrong-arity tuple nor one with a constant outside the data.
     """
-    program = DisjunctiveDatalogProgram(
-        [
-            Rule((goal_atom(X),), (Atom(A, (X,)),)),
-            Rule((), (Atom(A, (X,)), Atom(C, (X,)))),
-        ]
-    )
-    facts = [Fact(A, ("a",)), Fact(C, ("b",))]
-    if not consistent:
-        facts.append(Fact(C, ("a",)))
+    program, facts = _route_case(consistent)
     is_certain, certain_answers = ANSWER_ROUTES[route](program, facts)
     answers = certain_answers()
     expected = {("a",)} if consistent else {("a",), ("b",)}
@@ -620,3 +644,34 @@ def test_route_agreement_is_certain_matches_certain_answers(route, consistent):
     assert answers == ground_program(program, Instance(facts)).certain_answers()
     for candidate in [("a",), ("b",), ("a", "a"), ("zzz",), ()]:
         assert is_certain(candidate) == (candidate in answers), candidate
+
+
+@pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "no-model"])
+@pytest.mark.parametrize("tier", [0, 1, 2])
+def test_route_agreement_one_shot_consistency_matches_session(tier, consistent):
+    """The one-shot executor's consistency verdict is the live session's."""
+    program, facts = _route_case(consistent)
+    instance = Instance(facts)
+    executor = ONE_SHOT_EXECUTORS[tier](plan_for_tier(program, tier), instance)
+    session = ObdaSession(program, facts, policy=PlanPolicy(tier=tier))
+    assert executor.surfaces(instance)[0] == session.is_consistent() == consistent
+
+
+@pytest.mark.parametrize("tier", [0, 1, 2])
+def test_one_shot_executor_refuses_updates_it_cannot_maintain(tier):
+    """An executor bound to one instance raises on updates instead of
+    silently serving the old instance's answers; tiers whose one-shot
+    executor is also the live one maintain them."""
+    program, facts = _route_case(True)
+    old = Instance(facts[1:])
+    delta = Instance(facts[:1])
+    new = Instance(facts)
+    executor = ONE_SHOT_EXECUTORS[tier](plan_for_tier(program, tier), old)
+    if ONE_SHOT_EXECUTORS[tier] is LIVE_EXECUTORS[tier]:
+        executor.insert(old, delta, new)
+        assert executor.certain_answers(new) == {("a",)}
+        return
+    with pytest.raises(NotImplementedError):
+        executor.insert(old, delta, new)
+    with pytest.raises(NotImplementedError):
+        executor.delete(facts[1:])
